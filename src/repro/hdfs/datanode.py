@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
+from ..cluster.fabric import FlowKilled
 from ..cluster.topology import Topology
 from .block import Block
 from .namenode import NameNode
@@ -128,22 +129,31 @@ class ReplicationManager:
         return len(jobs)
 
     def _copy_block(self, block: Block) -> Generator:
-        target = self._pick_target(block)
-        if target is None:
-            return  # nowhere to put another replica
-        source = self.topology.closest_replica(target, block.replicas)
-        if source is None:
+        label = f"rerepl{block.block_id}"
+        while True:
+            target = self._pick_target(block)
+            if target is None:
+                return  # nowhere to put another replica
+            source = self.topology.closest_replica(target, block.replicas)
+            if source is None:
+                return  # every remaining replica died; the block stays lost
+            flows = [self.topology.node(source).disk.read(block.size_mb, label=label),
+                     self.network.transfer(source, target, block.size_mb, label=label)]
+            try:
+                yield flows[0].done & flows[1].done
+                flows = [self.topology.node(target).disk.write(block.size_mb,
+                                                               label=label)]
+                yield flows[0].done
+            except FlowKilled:
+                # The source or target machine died mid-copy (the loss
+                # handler already pruned its replica / marked it dead):
+                # drop the surviving sibling flow and start over.
+                for flow in flows:
+                    flow.fabric.kill(flow)
+                continue
+            block.replicas.append(target)
+            self.replications_done.append((block.block_id, target))
             return
-        disk_read = self.topology.node(source).disk.read(block.size_mb,
-                                                         label=f"rerepl{block.block_id}")
-        net = self.network.transfer(source, target, block.size_mb,
-                                    label=f"rerepl{block.block_id}")
-        yield disk_read.done & net.done
-        write = self.topology.node(target).disk.write(block.size_mb,
-                                                      label=f"rerepl{block.block_id}")
-        yield write.done
-        block.replicas.append(target)
-        self.replications_done.append((block.block_id, target))
 
     def _pick_target(self, block: Block) -> Optional[str]:
         """A live node without this block, preferring an uncovered rack."""

@@ -153,6 +153,48 @@ def test_under_replicated_reporting():
     assert nn.under_replicated() == []
 
 
+def crash(manager, topo, net, node_id):
+    """Whole-machine death as ``SimCluster.fail_node`` orders it: prune the
+    replica maps first, then kill the machine's in-flight flows."""
+    proc = manager.handle_datanode_loss(node_id)
+    topo.node(node_id).disk.fail_active()
+    net.fail_node_flows(node_id)
+    return proc
+
+
+def test_rereplication_survives_source_crash_mid_copy():
+    env = Environment()
+    topo, nn, net = build(env, replication=2)
+    file = nn.create_file("/d", 40.0, writer_node="dn0")
+    block = file.blocks[0]
+    manager = ReplicationManager(env, nn, net, topo)
+    first, source = block.replicas
+    proc = manager.handle_datanode_loss(first)
+    target = manager._pick_target(block)
+    env.run(until=0.05)  # the 40 MB copy source -> target is in flight
+    second = crash(manager, topo, net, source)
+    env.run(until=env.all_of([proc, second]))
+    assert (block.block_id, target) not in manager.replications_done
+    assert target not in block.replicas
+    assert block.replicas == []  # the last replica died with the copy
+
+
+def test_rereplication_retargets_after_target_crash_mid_copy():
+    env = Environment()
+    topo, nn, net = build(env)
+    file = nn.create_file("/d", 40.0, writer_node="dn0")
+    block = file.blocks[0]
+    manager = ReplicationManager(env, nn, net, topo)
+    proc = manager.handle_datanode_loss(block.replicas[0])
+    target = manager._pick_target(block)
+    env.run(until=0.05)
+    second = crash(manager, topo, net, target)
+    env.run(until=env.all_of([proc, second]))
+    assert target not in block.replicas
+    assert all(t != target for _, t in manager.replications_done)
+    assert len(block.replicas) == 3  # restored on another live node
+
+
 # -- DataNode death in the middle of a running job ---------------------------------
 
 def test_datanode_death_mid_job_reads_from_survivors():
