@@ -12,12 +12,13 @@ import dataclasses
 from repro.config import MRapidConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster, run_short_job
 from repro.experiments.figures import wordcount_input
+from repro.metrics import exact_percentile
 from repro.trace import (
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
     default_short_job_mix,
     poisson_trace,
-    replay_trace,
+    replay_load,
 )
 from repro.workloads import WORDCOUNT_PROFILE
 
@@ -33,8 +34,11 @@ def test_am_pool_size_sweep(benchmark):
         for pool_size in (1, 2, 3, 5):
             cluster = build_mrapid_cluster(
                 a3_cluster(4), mrapid=MRapidConfig(am_pool_size=pool_size))
-            stats = replay_trace(cluster, trace, STRATEGY_SPECULATIVE)
-            rows.append((pool_size, stats.mean_response, stats.percentile(95)))
+            report = replay_load(cluster, trace, STRATEGY_SPECULATIVE,
+                                 keep_jobs=True)
+            sojourns = [row["sojourn_s"] for row in report.per_job]
+            rows.append((pool_size, report.sojourn.mean,
+                         exact_percentile(sojourns, 95)))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -54,15 +58,15 @@ def test_burst_throughput_stock_vs_mrapid(benchmark):
                           duration_s=300.0, seed=13)
 
     def run():
-        stock = build_stock_cluster(a3_cluster(4))
-        s_stats = replay_trace(stock, trace, STRATEGY_STOCK)
-        mrapid = build_mrapid_cluster(a3_cluster(4))
-        m_stats = replay_trace(mrapid, trace, STRATEGY_SPECULATIVE)
-        return s_stats, m_stats
+        stock = replay_load(build_stock_cluster(a3_cluster(4)), trace,
+                            STRATEGY_STOCK)
+        mrapid = replay_load(build_mrapid_cluster(a3_cluster(4)), trace,
+                             STRATEGY_SPECULATIVE)
+        return stock, mrapid
 
-    s_stats, m_stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\n{s_stats.summary()}\n{m_stats.summary()}")
-    assert m_stats.mean_response < s_stats.mean_response
+    stock, mrapid = benchmark.pedantic(run, rounds=1, iterations=1)
+    print(f"\n{stock.summary()}\n{mrapid.summary()}")
+    assert mrapid.sojourn.mean < stock.sojourn.mean
 
 
 def test_memory_cache_limit_sweep(benchmark):

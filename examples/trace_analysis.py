@@ -13,13 +13,13 @@ from repro.config import MRapidConfig, a3_cluster
 from repro.core import build_mrapid_cluster, build_stock_cluster
 from repro.experiments.sweeps import Axis, grid_sweep
 from repro.history import JobHistoryServer
-from repro.metrics import ClusterMonitor
+from repro.metrics import ClusterMonitor, exact_percentile
 from repro.trace import (
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
     default_short_job_mix,
     poisson_trace,
-    replay_trace,
+    replay_load,
 )
 
 TRACE = poisson_trace(default_short_job_mix(), rate_per_minute=3.0,
@@ -30,26 +30,26 @@ def replay_with_monitoring(build, strategy):
     cluster = build()
     monitor = ClusterMonitor(cluster, interval_s=1.0)
     monitor.start()
-    stats = replay_trace(cluster, TRACE, strategy)
+    report = replay_load(cluster, TRACE, strategy)
     monitor.stop()
-    return cluster, stats, monitor.summary(until=stats.makespan)
+    return cluster, report, monitor.summary(until=report.makespan_s)
 
 
 def main() -> None:
     print(f"replaying {len(TRACE)} ad-hoc jobs over 5 minutes\n")
 
-    _s_cluster, s_stats, s_util = replay_with_monitoring(
+    _s_cluster, stock, s_util = replay_with_monitoring(
         lambda: build_stock_cluster(a3_cluster(4)), STRATEGY_STOCK)
-    print(f"stock : {s_stats.summary()}")
+    print(f"stock : {stock.summary()}")
     print(f"        utilization: {s_util}")
 
-    m_cluster, m_stats, m_util = replay_with_monitoring(
+    m_cluster, mrapid, m_util = replay_with_monitoring(
         lambda: build_mrapid_cluster(a3_cluster(4)), STRATEGY_SPECULATIVE)
-    print(f"MRapid: {m_stats.summary()}")
+    print(f"MRapid: {mrapid.summary()}")
     print(f"        utilization: {m_util}")
-    saved = s_stats.mean_response - m_stats.mean_response
+    saved = stock.sojourn.mean - mrapid.sojourn.mean
     print(f"\nmean response cut by {saved:.1f}s "
-          f"({100 * saved / s_stats.mean_response:.0f}%); MRapid drives the "
+          f"({100 * saved / stock.sojourn.mean:.0f}%); MRapid drives the "
           f"cluster harder (higher peak CPU) for less wall time\n")
 
     # Post-mortem with the history server: where does stock lose the time?
@@ -78,8 +78,10 @@ def main() -> None:
     def point(pool):
         cluster = build_mrapid_cluster(
             a3_cluster(4), mrapid=MRapidConfig(am_pool_size=pool))
-        stats = replay_trace(cluster, TRACE, STRATEGY_SPECULATIVE)
-        return {"mean_response": stats.mean_response, "p95": stats.percentile(95)}
+        report = replay_load(cluster, TRACE, STRATEGY_SPECULATIVE, keep_jobs=True)
+        sojourns = [row["sojourn_s"] for row in report.per_job]
+        return {"mean_response": report.sojourn.mean,
+                "p95": exact_percentile(sojourns, 95)}
 
     sweep = grid_sweep([Axis("pool", (1, 2, 3, 5))], point)
     print("AM pool sizing against this trace:")

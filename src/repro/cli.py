@@ -25,13 +25,8 @@ import sys
 from typing import Optional, Sequence
 
 from .config import a2_cluster, a3_cluster
-from .core import (
-    build_mrapid_cluster,
-    build_stock_cluster,
-    run_short_job,
-    run_speculative,
-    run_stock_job,
-)
+from .core import build_mrapid_cluster, build_stock_cluster
+from .core.submit import run_job, winner_and_loser
 from .mapreduce import SimJobSpec
 from .workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE, pi_profile
 
@@ -131,29 +126,18 @@ def cmd_run(args) -> int:
                   f"store now {len(store)} records)")
         return _print_run_result(args, result)
 
-    if args.mode in ("distributed", "uber", "auto"):
-        cluster = build_stock_cluster(spec_builder_cluster)
-    else:
-        cluster = build_mrapid_cluster(spec_builder_cluster)
+    # Without a history store, ``auto`` is Hadoop's own uber-eligibility rule.
+    mode = "stock" if args.mode == "auto" else args.mode
+    build = (build_stock_cluster if mode in ("stock", "distributed", "uber")
+             else build_mrapid_cluster)
+    cluster = build(spec_builder_cluster)
     paths = cluster.load_input_files("/cli", args.files, args.mb)
     spec = SimJobSpec(args.workload, tuple(paths), profile)
-
-    if args.mode in ("distributed", "uber"):
-        result = run_stock_job(cluster, spec, args.mode)
-    elif args.mode == "auto":
-        from .mapreduce import MODE_AUTO, JobClient
-
-        result = JobClient(cluster).run(spec, MODE_AUTO)
-    elif args.mode in ("dplus", "uplus"):
-        result = run_short_job(cluster, spec, args.mode)
-    elif args.mode == "speculative":
-        outcome = run_speculative(cluster, spec)
-        result = outcome.winner
-        print(f"speculation winner: {outcome.winner_mode} "
-              f"(killed {outcome.killed_mode})")
-    else:
-        raise SystemExit(f"unknown mode {args.mode!r}")
-
+    value = run_job(cluster, spec, mode)
+    result, _loser = winner_and_loser(value)
+    if mode == "speculative":
+        print(f"speculation winner: {value.winner_mode} "
+              f"(killed {value.killed_mode})")
     return _print_run_result(args, result)
 
 
@@ -251,6 +235,18 @@ def _serving_from_args(args):
     return ServingConfig(**kwargs)
 
 
+def _fault_plan_from_args(args, duration_s: float):
+    """The named ``--fault-plan`` (or None) sized to the replay."""
+    if not args.fault_plan:
+        return None
+    from .faults.plan import named_plan
+
+    try:
+        return named_plan(args.fault_plan, duration_s, seed=args.fault_seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def cmd_trace(args) -> int:
     from .config import HadoopConfig, TelemetryConfig
     from .trace import (
@@ -292,16 +288,7 @@ def cmd_trace(args) -> int:
                   f"(rate {args.rate}/min, seed {args.seed}, "
                   f"scheduler {args.scheduler})")
 
-    fault_plan = None
-    if args.fault_plan:
-        from .faults.plan import named_plan
-
-        try:
-            fault_plan = named_plan(args.fault_plan, duration_s,
-                                    seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-
+    fault_plan = _fault_plan_from_args(args, duration_s)
     strategies = ([TRACE_MODES[args.mode]] if args.mode
                   else [STRATEGY_STOCK, STRATEGY_SPECULATIVE])
     baselines = template_baselines(spec, mix, conf=conf)
@@ -320,8 +307,6 @@ def cmd_metrics(args) -> int:
     from .config import HadoopConfig, TelemetryConfig
     from .trace import (
         SCHEDULER_CAPACITY,
-        STRATEGY_STOCK,
-        TRACE_STRATEGIES,
         build_trace_cluster,
         default_queue_of,
         default_serving_mix,
@@ -340,18 +325,8 @@ def cmd_metrics(args) -> int:
     duration_s = args.minutes * 60.0
     trace = poisson_trace(mix, args.rate, duration_s, seed=args.seed)
 
-    fault_plan = None
-    if args.fault_plan:
-        from .faults.plan import named_plan
-
-        try:
-            fault_plan = named_plan(args.fault_plan, duration_s,
-                                    seed=args.fault_seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-
-    strategy = TRACE_MODES.get(args.mode, STRATEGY_STOCK)
-    assert strategy in TRACE_STRATEGIES
+    fault_plan = _fault_plan_from_args(args, duration_s)
+    strategy = TRACE_MODES[args.mode]
     baselines = template_baselines(spec, mix, conf=conf)
     # replay_load installs telemetry from conf; building the cluster here
     # (instead of via run_load) keeps the handle for the exporters below.
@@ -590,6 +565,38 @@ def cmd_lint(args) -> int:
     return analysis_main(argv)
 
 
+def _replay_arguments() -> argparse.ArgumentParser:
+    """Flags shared by the ``trace`` and ``metrics`` replays."""
+    from .trace import TRACE_SCHEDULERS
+
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
+    p.add_argument("--minutes", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
+    p.add_argument("--scheduler", default="fifo", choices=TRACE_SCHEDULERS,
+                   help="RM scheduler for the replay cluster")
+    p.add_argument("--am-fraction", type=float, default=0.3,
+                   help="maximum-am-resource-percent analog; <1 enables AM "
+                        "admission control so scheduling order matters")
+    p.add_argument("--slo", action="store_true",
+                   help="serving mode: SLO-classed mix (scans/aggs latency, "
+                        "sorts batch), size-based admission control, "
+                        "overload degradation, per-job outcomes")
+    p.add_argument("--deadline", type=float, default=75.0,
+                   help="latency-class deadline in seconds (with --slo)")
+    p.add_argument("--autoscale", nargs=2, type=int, default=None,
+                   metavar=("MIN", "MAX"),
+                   help="with --slo: reactive autoscaling between MIN and "
+                        "MAX nodes (queue depth + SLO attainment signals)")
+    p.add_argument("--fault-plan", default=None, metavar="NAME",
+                   help="inject a named fault plan into the replay "
+                        "(churn, crash, gray)")
+    p.add_argument("--fault-seed", type=int, default=23,
+                   help="seed for the named fault plan's victim selection")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MRapid (IPPS 2017) reproduction toolkit")
@@ -639,17 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the history-server phase breakdown as JSON")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("trace", help="replay a bursty short-job trace")
-    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
-    p.add_argument("--minutes", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
+    replay = _replay_arguments()
+    p = sub.add_parser("trace", parents=[replay],
+                       help="replay a bursty short-job trace")
     p.add_argument("--trace-file", default=None, metavar="FILE",
                    help="replay '<arrival_s> <template>' lines from FILE "
                         "instead of generating Poisson arrivals")
-    p.add_argument("--scheduler", default="fifo",
-                   choices=["fifo", "capacity", "hfsp"],
-                   help="RM scheduler for the replay cluster")
     p.add_argument("--mode", default=None, choices=sorted(TRACE_MODES),
                    help="submission strategy (default: compare stock and "
                         "speculative)")
@@ -657,30 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --mode auto: durable run-history store the "
                         "tuner learns per-signature mode choices from; "
                         "omit for pure Eq. 1-3 decisions")
-    p.add_argument("--am-fraction", type=float, default=0.3,
-                   help="maximum-am-resource-percent analog; <1 enables AM "
-                        "admission control so scheduling order matters")
     p.add_argument("--json", action="store_true",
                    help="full streaming report as JSON, with a per-job "
                         "decision column")
     p.add_argument("--report", action="store_true",
                    help="print sojourn/slowdown/queue-depth percentiles and "
                         "mode decisions")
-    p.add_argument("--fault-plan", default=None, metavar="NAME",
-                   help="inject a named fault plan into the replay "
-                        "(churn, crash, gray)")
-    p.add_argument("--fault-seed", type=int, default=23,
-                   help="seed for the named fault plan's victim selection")
-    p.add_argument("--slo", action="store_true",
-                   help="serving mode: SLO-classed mix (scans/aggs latency, "
-                        "sorts batch), size-based admission control, "
-                        "overload degradation, per-job outcomes")
-    p.add_argument("--deadline", type=float, default=75.0,
-                   help="latency-class deadline in seconds (with --slo)")
-    p.add_argument("--autoscale", nargs=2, type=int, default=None,
-                   metavar=("MIN", "MAX"),
-                   help="with --slo: reactive autoscaling between MIN and "
-                        "MAX nodes (queue depth + SLO attainment signals)")
     p.add_argument("--telemetry", action="store_true",
                    help="sample the telemetry registry during the replay; "
                         "adds scrape/alert rows to --report and a "
@@ -688,28 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "metrics",
+        "metrics", parents=[replay],
         help="replay a trace with telemetry on and export the time series")
-    p.add_argument("--rate", type=float, default=3.0, help="jobs per minute")
-    p.add_argument("--minutes", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--cluster", default="a3", choices=["a3", "a2"])
-    p.add_argument("--scheduler", default="fifo",
-                   choices=["fifo", "capacity", "hfsp"])
     p.add_argument("--mode", default="stock", choices=sorted(TRACE_MODES),
                    help="submission strategy (default: stock)")
-    p.add_argument("--am-fraction", type=float, default=0.3)
-    p.add_argument("--slo", action="store_true",
-                   help="serving mode (SLO-classed mix, admission control); "
-                        "enables attainment series and burn-rate alerting")
-    p.add_argument("--deadline", type=float, default=75.0,
-                   help="latency-class deadline in seconds (with --slo)")
-    p.add_argument("--autoscale", nargs=2, type=int, default=None,
-                   metavar=("MIN", "MAX"),
-                   help="with --slo: reactive autoscaling between MIN and MAX")
-    p.add_argument("--fault-plan", default=None, metavar="NAME",
-                   help="inject a named fault plan (churn, crash, gray)")
-    p.add_argument("--fault-seed", type=int, default=23)
     p.add_argument("--interval", type=float, default=5.0,
                    help="scrape cadence in simulated seconds")
     p.add_argument("--format", default="summary",

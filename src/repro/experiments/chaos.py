@@ -27,17 +27,22 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Tuple
 
 from ..config import a3_cluster
-from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-from ..core.speculation import SpeculativeExecutor
-from ..core.submit import build_mrapid_cluster, build_stock_cluster
+from ..core.submit import (
+    build_mrapid_cluster,
+    build_stock_cluster,
+    submit_job,
+    winner_and_loser,
+)
 from ..faults import FaultPlan, inject
-from ..mapreduce.client import MODE_DISTRIBUTED, JobClient
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..workloads import WORDCOUNT_PROFILE
 from .harness import HADOOP_DIST, MRAPID_DPLUS, MRAPID_UPLUS, FigureResult, Series
 
 MRAPID_SPECULATIVE = "MRapid-Speculative"
 CHAOS_MODES = (HADOOP_DIST, MRAPID_DPLUS, MRAPID_UPLUS, MRAPID_SPECULATIVE)
+#: Series name -> :func:`~repro.core.submit.submit_job` mode.
+_SUBMIT_MODES = {HADOOP_DIST: "distributed", MRAPID_DPLUS: "dplus",
+                 MRAPID_UPLUS: "uplus", MRAPID_SPECULATIVE: "speculative"}
 
 #: (scenario name, plan factory). Times are chosen to land mid-job for
 #: every mode (all modes are still running at t=6 on this workload).
@@ -68,25 +73,12 @@ def _wc_spec(cluster, n_files: int = 8, mb: float = 10.0) -> SimJobSpec:
 def run_under_faults(mode: str, plan: FaultPlan, max_retries: int = 2,
                      seed: int = 7) -> ChaosPoint:
     """One chaos data point: fresh cluster, ``plan`` injected, retry on loss."""
-    if mode == HADOOP_DIST:
-        cluster = build_stock_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        submit = lambda: JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
-        extract = lambda value: value
-    elif mode in (MRAPID_DPLUS, MRAPID_UPLUS):
-        cluster = build_mrapid_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        mr_mode = MODE_DPLUS if mode == MRAPID_DPLUS else MODE_UPLUS
-        submit = lambda: cluster.mrapid_framework.submit(spec, mr_mode).proc
-        extract = lambda value: value
-    elif mode == MRAPID_SPECULATIVE:
-        cluster = build_mrapid_cluster(a3_cluster(4), seed=seed)
-        spec = _wc_spec(cluster)
-        executor = SpeculativeExecutor(cluster.mrapid_framework)
-        submit = lambda: executor.submit(spec)
-        extract = lambda value: value.winner
-    else:
+    submit_mode = _SUBMIT_MODES.get(mode)
+    if submit_mode is None:
         raise ValueError(f"unknown chaos mode {mode!r}")
+    build = build_stock_cluster if mode == HADOOP_DIST else build_mrapid_cluster
+    cluster = build(a3_cluster(4), seed=seed)
+    spec = _wc_spec(cluster)
 
     injector = inject(cluster, plan)
     env = cluster.env
@@ -94,12 +86,12 @@ def run_under_faults(mode: str, plan: FaultPlan, max_retries: int = 2,
     def client() -> Generator:
         start = env.now
         for attempt in range(max_retries + 1):
-            proc = submit()
+            proc = submit_job(cluster, spec, submit_mode)
             try:
                 value = yield proc
             except Exception:
                 value = None   # job failed outright (e.g. attempts exhausted)
-            result = extract(value) if value is not None else None
+            result = winner_and_loser(value)[0] if value is not None else None
             if (result is not None and result.finish_time > 0
                     and not result.killed and not result.failed):
                 return ChaosPoint(result=result, elapsed=env.now - start,

@@ -16,13 +16,13 @@ from ..config import HadoopConfig, a3_cluster
 from ..core import build_mrapid_cluster, build_stock_cluster, run_short_job, run_stock_job
 from ..core.chain import ChainStage, run_chain
 from ..mapreduce import MODE_DISTRIBUTED, JobClient, SimJobSpec
-from ..metrics import ClusterMonitor
+from ..metrics import ClusterMonitor, exact_percentile
 from ..trace import (
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
     default_short_job_mix,
     poisson_trace,
-    replay_trace,
+    replay_load,
 )
 from ..workloads import TERASORT_PROFILE, WORDCOUNT_PROFILE
 from .figures import wordcount_input
@@ -33,17 +33,15 @@ def figureE1_burst_response_percentiles() -> FigureResult:
     """Response-time percentiles under a 3-jobs/min ad-hoc burst."""
     trace = poisson_trace(default_short_job_mix(), rate_per_minute=3.0,
                           duration_s=300.0, seed=13)
-    stock = replay_trace(build_stock_cluster(a3_cluster(4)), trace, STRATEGY_STOCK)
-    mrapid = replay_trace(build_mrapid_cluster(a3_cluster(4)), trace,
-                          STRATEGY_SPECULATIVE)
-    percentiles = [50, 75, 90, 95, 100]
-    series = {
-        "stock-auto": Series("stock-auto"),
-        "MRapid-speculative": Series("MRapid-speculative"),
-    }
-    for q in percentiles:
-        series["stock-auto"].add(q, stock.percentile(q))
-        series["MRapid-speculative"].add(q, mrapid.percentile(q))
+    runs = {"stock-auto": (build_stock_cluster, STRATEGY_STOCK),
+            "MRapid-speculative": (build_mrapid_cluster, STRATEGY_SPECULATIVE)}
+    series = {}
+    for name, (build, strategy) in runs.items():
+        report = replay_load(build(a3_cluster(4)), trace, strategy, keep_jobs=True)
+        sojourns = [row["sojourn_s"] for row in report.per_job]
+        series[name] = Series(name)
+        for q in (50, 75, 90, 95, 100):
+            series[name].add(q, exact_percentile(sojourns, q))
     return FigureResult(
         "Figure E1", "ad-hoc burst: response-time percentiles", "percentile",
         series,

@@ -176,25 +176,13 @@ def run_auto_job(cluster: "SimCluster", spec, picker: AutoModePicker,
     :func:`repro.trace.build_trace_cluster` and any non-stock strategy).
     Used by ``repro run --mode auto --history-db`` and the regret harness.
     """
-    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-    from ..core.speculation import SpeculativeExecutor
-    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
+    from ..core.submit import run_job, winner_and_loser
     from .store import record_from_result
 
     inputs = template_inputs(cluster, num_files, file_mb, spec.profile)
     decision = picker.decide(spec.signature, inputs)
-    framework = getattr(cluster, "mrapid_framework", None)
-
-    if decision.mode in ("stock", "uber") or framework is None:
-        client = JobClient(cluster)
-        mode = MODE_UBER if decision.mode == "uber" else MODE_AUTO
-        result = client.run(spec, mode, queue=queue)
-    elif decision.mode == "speculative":
-        result = SpeculativeExecutor(framework).run(spec).winner
-    else:
-        mode = MODE_DPLUS if decision.mode == "dplus" else MODE_UPLUS
-        result = framework.run(spec, mode)
-
+    result, _loser = winner_and_loser(
+        run_job(cluster, spec, decision.mode, queue=queue))
     picker.observe_record(record_from_result(
         result, spec.signature, decision.mode,
         input_mb=num_files * file_mb, finished_at=cluster.env.now))

@@ -58,25 +58,13 @@ def static_baselines(spec: "ClusterSpec", template: "JobTemplate",
                      conf: Optional[HadoopConfig] = None,
                      seed: int = 7) -> dict[str, float]:
     """Idle-cluster elapsed seconds per static mode (the oracle's table)."""
-    from ..core.ampool import MODE_DPLUS, MODE_UPLUS
-    from ..core.speculation import SpeculativeExecutor
-    from ..mapreduce.client import MODE_AUTO, MODE_UBER, JobClient
+    from ..core.submit import run_job, winner_and_loser
 
     out: dict[str, float] = {}
     for mode in candidates:
         cluster = _fresh_cluster(spec, conf, seed)
-        job = _job_spec(cluster, template)
-        if mode == "stock":
-            result = JobClient(cluster).run(job, MODE_AUTO)
-        elif mode == "uber":
-            result = JobClient(cluster).run(job, MODE_UBER)
-        elif mode == "speculative":
-            result = SpeculativeExecutor(cluster.mrapid_framework).run(job).winner
-        elif mode in ("dplus", "uplus"):
-            result = cluster.mrapid_framework.run(
-                job, MODE_DPLUS if mode == "dplus" else MODE_UPLUS)
-        else:
-            raise ValueError(f"unknown tuner candidate {mode!r}")
+        result, _loser = winner_and_loser(
+            run_job(cluster, _job_spec(cluster, template), mode))
         out[mode] = result.elapsed
     return out
 

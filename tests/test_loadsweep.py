@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.config import HadoopConfig, a3_cluster
 from repro.experiments.loadsweep import (
@@ -222,5 +223,22 @@ def test_cli_trace_file_replays_explicit_schedule(tmp_path, capsys):
 
 
 def test_cli_trace_rejects_unknown_scheduler():
-    with pytest.raises(SystemExit):
-        cli_main(["trace", "--scheduler", "bogus"])
+    """``trace`` and ``metrics`` share one replay argument set: both reject
+    the same bad scheduler and parse the shared flags identically."""
+    for command in ("trace", "metrics"):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--scheduler", "bogus"])
+    shared = ["--rate", "7.5", "--minutes", "2", "--seed", "9", "--cluster",
+              "a2", "--scheduler", "capacity", "--am-fraction", "0.5",
+              "--slo", "--deadline", "40", "--autoscale", "2", "6",
+              "--fault-plan", "churn", "--fault-seed", "4"]
+    names = ("rate", "minutes", "seed", "cluster", "scheduler", "am_fraction",
+             "slo", "deadline", "autoscale", "fault_plan", "fault_seed")
+    parser = build_parser()
+    parsed = [vars(parser.parse_args([command, *shared]))
+              for command in ("trace", "metrics")]
+    assert [{k: p[k] for k in names} for p in parsed] == [
+        {"rate": 7.5, "minutes": 2.0, "seed": 9, "cluster": "a2",
+         "scheduler": "capacity", "am_fraction": 0.5, "slo": True,
+         "deadline": 40.0, "autoscale": [2, 6], "fault_plan": "churn",
+         "fault_seed": 4}] * 2

@@ -114,7 +114,7 @@ def test_exact_percentile_nearest_rank():
     assert exact_percentile(values, 50) == 3.0
     assert exact_percentile(values, 100) == 5.0
     assert exact_percentile(values, 1) == 1.0
-    assert exact_percentile([], 50) == 0.0  # empty -> 0, like TraceStats
+    assert exact_percentile([], 50) == 0.0  # empty -> 0
 
 
 def test_streaming_percentile_exact_below_five_samples():
