@@ -73,6 +73,7 @@ class ChainResult:
 #: mode every stage runs in.
 STRATEGIES = ("speculative", "dplus", "uplus", "stock")
 
+
 def validate_chain(stages: Sequence[ChainStage]) -> None:
     """Names unique; every ``@ref`` points to an *earlier* stage (DAG)."""
     seen: set[str] = set()

@@ -128,7 +128,7 @@ def run_stock_job(cluster: SimCluster, spec: SimJobSpec, mode: str) -> JobResult
 
 def run_short_job(cluster: SimCluster, spec: SimJobSpec, mode: str) -> JobResult:
     """Run a job through MRapid's submission framework in 'dplus'/'uplus'."""
-    _framework(cluster)
+    _framework(cluster)  # a stock cluster fails first, whatever the mode
     normalized = {
         "dplus": "dplus", MODE_DPLUS: "dplus",
         "uplus": "uplus", MODE_UPLUS: "uplus",

@@ -128,8 +128,8 @@ STRATEGY_AUTO = "mrapid-auto"
 #: The fixed strategies' policies: the submission mode
 #: (:func:`repro.core.submit.submit_job`) every job runs in. The auto
 #: strategy's policy is the tuner's :class:`~repro.tuner.AutoModePicker`.
-STRATEGY_MODES = {STRATEGY_STOCK: "stock", STRATEGY_DPLUS: "dplus",
-                  STRATEGY_UPLUS: "uplus", STRATEGY_SPECULATIVE: "speculative"}
+_STRATEGY_MODES = {STRATEGY_STOCK: "stock", STRATEGY_DPLUS: "dplus",
+                   STRATEGY_UPLUS: "uplus", STRATEGY_SPECULATIVE: "speculative"}
 
 
 def overload_mode(strategy: str, slo: SLOJob) -> str:
@@ -296,7 +296,7 @@ def template_baselines(spec: "ClusterSpec", mix: Sequence[JobTemplate],
                                          template.num_files, template.file_mb)
         job_spec = SimJobSpec(template.name, tuple(paths), template.profile,
                               signature=template.name)
-        result = run_job(cluster, job_spec, STRATEGY_MODES[STRATEGY_STOCK])
+        result = run_job(cluster, job_spec, "stock")
         baselines[template.name] = result.elapsed
     return baselines
 
@@ -532,7 +532,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                 mode = auto.mode
                 decision = f"auto-{mode}"
             else:
-                mode = STRATEGY_MODES[strategy]
+                mode = _STRATEGY_MODES[strategy]
             queue = queue_of(job.template.name) if queue_of is not None else None
             # The admission controller's dispatch ticket pins this job's
             # AM-queue position: several jobs dispatched at one instant must
