@@ -189,10 +189,10 @@ def _run_scale_scenario() -> tuple[str, str]:
     """1k-node digest: the wheel's cohort ticks and O(changed) scheduling.
 
     A thousand phase-staggered nodes beating under a 0.25 s quantum share
-    tick events, so this crosses the BucketQueue, the ``_armed`` instant
-    set, the incremental RM totals, and the suspend/resume paths (one
-    node crashes and rejoins mid-run) — none of which the 4-node
-    scenarios reach at aggregation scale.
+    cohorts and tick events, so this crosses the BucketQueue, the wheel's
+    wake/sleep path and derived beat count, the incremental RM totals, and
+    the suspend/resume paths (one node crashes and rejoins mid-run) — none
+    of which the 4-node scenarios reach at aggregation scale.
     """
     from repro.cluster import ResourceVector
     from repro.config import HadoopConfig, a3_cluster
@@ -237,6 +237,7 @@ def _run_scale_scenario() -> tuple[str, str]:
     metrics = {
         "finished": sorted(finished),
         "heartbeats": rm.heartbeat_wheel.heartbeats_delivered,
+        "dispatched": rm.heartbeat_wheel.heartbeats_dispatched,
         "ticks": rm.heartbeat_wheel.ticks,
         "events": env.events_processed,
         "used": [rm.total_used().memory_mb, rm.total_used().vcores],

@@ -160,8 +160,11 @@ def bench_scale(num_nodes: int, sim_duration_s: float = 60.0,
 
     * ``events_per_sec`` — kernel events popped per wall second;
     * ``logical_events_per_sec`` — kernel events *plus* heartbeats
-      delivered: with a phase quantum whole cohorts of beats ride one
-      kernel event, so kernel events alone undercount the work done;
+      delivered: the wheel only dispatches beats while the RM has demand
+      and derives the idle ones, so kernel events alone undercount the
+      simulated work;
+    * ``heartbeats`` / ``heartbeats_dispatched`` — beats the nodes sent
+      versus beats the scheduler actually ran;
     * ``jobs_per_sec`` — end-to-end job completions per wall second;
     * ``max_rss_mb`` — process peak RSS (bounded-memory check at 10k).
     """
@@ -212,6 +215,7 @@ def bench_scale(num_nodes: int, sim_duration_s: float = 60.0,
     events = env.events_processed
     wheel = rm.heartbeat_wheel
     heartbeats = wheel.heartbeats_delivered if wheel is not None else 0
+    dispatched = wheel.heartbeats_dispatched if wheel is not None else 0
     ticks = wheel.ticks if wheel is not None else 0
     logical = events + heartbeats
     max_rss_kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
@@ -234,6 +238,7 @@ def bench_scale(num_nodes: int, sim_duration_s: float = 60.0,
         "events": events,
         "events_per_sec": round(events / wall) if wall > 0 else None,
         "heartbeats": heartbeats,
+        "heartbeats_dispatched": dispatched,
         "heartbeat_ticks": ticks,
         "logical_events_per_sec": round(logical / wall) if wall > 0 else None,
         "jobs_submitted": submitted,
@@ -408,7 +413,8 @@ def format_report(report: dict) -> str:
             f"  {name:8}: {point['logical_events_per_sec']:,} logical ev/s "
             f"({point['events_per_sec']:,} kernel ev/s)  "
             f"jobs/s={point['jobs_per_sec']}  "
-            f"heartbeats={point['heartbeats']:,}  "
+            f"heartbeats={point['heartbeats']:,} "
+            f"({point['heartbeats_dispatched']:,} dispatched)  "
             f"rss={point['max_rss_mb']}MB")
     tel = report.get("telemetry")
     if tel:

@@ -141,6 +141,10 @@ class ReplicationManager:
                      self.network.transfer(source, target, block.size_mb, label=label)]
             try:
                 yield flows[0].done & flows[1].done
+                if target in self.dead_nodes:
+                    # Decommissioned mid-copy: removal leaves the node's
+                    # flows running but takes it out of the topology.
+                    continue
                 flows = [self.topology.node(target).disk.write(block.size_mb,
                                                                label=label)]
                 yield flows[0].done
@@ -151,6 +155,8 @@ class ReplicationManager:
                 for flow in flows:
                     flow.fabric.kill(flow)
                 continue
+            if target in self.dead_nodes:
+                continue  # decommissioned during the write
             block.replicas.append(target)
             self.replications_done.append((block.block_id, target))
             return

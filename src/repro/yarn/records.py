@@ -68,7 +68,6 @@ class NodeState:
     capability: ResourceVector
     used_memory_mb: int = 0
     used_vcores: int = 0
-    last_heartbeat: float = 0.0
     #: False once the NodeManager is declared lost; no further allocations.
     alive: bool = True
     #: Observer called with the *floored* (memory, vcores) usage delta after

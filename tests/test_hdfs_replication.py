@@ -195,6 +195,25 @@ def test_rereplication_retargets_after_target_crash_mid_copy():
     assert len(block.replicas) == 3  # restored on another live node
 
 
+def test_rereplication_retargets_after_target_decommission_mid_copy():
+    """Decommissioning leaves the node's flows running but takes it out of
+    the topology; the copy used to look the gone target up and crash."""
+    env = Environment()
+    topo, nn, net = build(env)
+    file = nn.create_file("/d", 40.0, writer_node="dn0")
+    block = file.blocks[0]
+    manager = ReplicationManager(env, nn, net, topo)
+    proc = manager.handle_datanode_loss(block.replicas[0])
+    target = manager._pick_target(block)
+    env.run(until=0.05)
+    topo.remove(target)  # what SimCluster.remove_node does to HDFS
+    second = manager.handle_datanode_loss(target)
+    env.run(until=env.all_of([proc, second]))
+    assert target not in block.replicas
+    assert all(t != target for _, t in manager.replications_done)
+    assert len(block.replicas) == 3  # restored on another live node
+
+
 # -- DataNode death in the middle of a running job ---------------------------------
 
 def test_datanode_death_mid_job_reads_from_survivors():

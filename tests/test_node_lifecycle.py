@@ -57,11 +57,10 @@ def test_removed_node_id_never_rejoins_scheduling():
         cluster.rm.node_state("dn2")
     wheel = cluster.rm.heartbeat_wheel
     before = wheel.heartbeats_delivered
-    hb_before = {n: s.last_heartbeat for n, s in cluster.rm.nodes.items()}
+    hb_before = {n: wheel.last_heartbeat(n) for n in cluster.rm.nodes}
     cluster.env.run(until=4.0)
     assert wheel.heartbeats_delivered > before  # survivors still beat
-    assert all(cluster.rm.nodes[n].last_heartbeat > t
-               for n, t in hb_before.items())
+    assert all(wheel.last_heartbeat(n) > t for n, t in hb_before.items())
 
 
 def test_remove_node_with_running_containers_refused():

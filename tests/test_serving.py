@@ -213,7 +213,7 @@ def test_cluster_add_node_is_fully_wired():
     assert "dn4" in cluster.datanode_daemons
     # Schedulable: next heartbeat grants like any constructor-built node.
     cluster.env.run(until=5.0)
-    assert cluster.rm.nodes["dn4"].last_heartbeat > 0.0
+    assert cluster.rm.heartbeat_wheel.last_heartbeat("dn4") > 0.0
 
 
 def test_drain_undrain_cycle():
