@@ -22,9 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class UtilizationSample:
     """One instant of cluster utilization (the ClusterMonitor quantities)."""
 
-    #: (node_id, cpu utilization 0..1) per DataNode, in cluster order.
+    #: (node_id, cpu utilization 0..1) per DataNode, in cluster order
+    #: (empty unless sampled ``per_node``).
     node_cpu: list[tuple[str, float]]
-    #: (node_id, active disk ops) per DataNode, in cluster order.
+    #: (node_id, active disk ops) per DataNode, in cluster order (ditto).
     node_disk_ops: list[tuple[str, float]]
     cluster_cpu: float
     cpu_imbalance: float
@@ -33,21 +34,36 @@ class UtilizationSample:
     used_vcores: float
 
 
-def sample_utilization(cluster: "SimCluster") -> UtilizationSample:
-    """Read the monitor quantities from a cluster, mutating nothing."""
+def sample_utilization(cluster: "SimCluster",
+                       per_node: bool = True) -> UtilizationSample:
+    """Read the monitor quantities from a cluster, mutating nothing.
+
+    The cluster-wide quantities come from the busy nodes alone (an idle
+    node's utilization and disk queue are exactly zero), so they cost
+    O(busy nodes). ``per_node=False`` leaves the per-node lists empty,
+    which makes the whole sample O(busy nodes).
+    """
     rm = cluster.rm
-    total_cores = sum(n.cpu.cores for n in cluster.datanodes)
+    tracker = cluster.busy_nodes
+    busy_nodes = tracker.nodes()
+    utils = [node.cpu.utilization() for node in busy_nodes]
+    disks = [float(node.disk.active_ops) for node in busy_nodes]
     busy = 0.0
+    for node, util in zip(busy_nodes, utils):
+        busy += util * node.cpu.cores
+    if len(busy_nodes) < len(tracker):
+        # Some node is idle: it contributes a zero to every max and min.
+        utils.append(0.0)
+        disks.append(0.0)
+
     node_cpu: list[tuple[str, float]] = []
     node_disk_ops: list[tuple[str, float]] = []
-    for node in cluster.datanodes:
-        util = node.cpu.utilization()
-        node_cpu.append((node.node_id, util))
-        node_disk_ops.append((node.node_id, float(node.disk.active_ops)))
-        busy += util * node.cpu.cores
+    if per_node:
+        for node in cluster.datanodes:
+            node_cpu.append((node.node_id, node.cpu.utilization()))
+            node_disk_ops.append((node.node_id, float(node.disk.active_ops)))
 
-    utils = [u for _, u in node_cpu]
-    disks = [d for _, d in node_disk_ops]
+    total_cores = tracker.cores
     total = rm.total_capability()
     used = rm.total_used()
     return UtilizationSample(

@@ -163,10 +163,7 @@ class NodeManager:
         self.drained = True
         if self.rm.heartbeat_wheel is not None:
             self.rm.heartbeat_wheel.suspend(self.node_id)
-        node = self.rm.nodes.get(self.node_id)
-        if node is not None:
-            node.alive = False
-        self.rm.log.mark(self.env.now, "node_drained", node=self.node_id)
+        self.rm.node_drained(self.node_id)
 
     def undrain(self) -> None:
         """Return a drained node to service (warm scale-up, no delay)."""
