@@ -6,9 +6,11 @@ Each cell replays a small Poisson trace through
 grid crosses every ``TRACE_STRATEGIES`` member with four contexts — plain
 FIFO, the multi-tenant capacity scheduler with ``default_queue_of``,
 serving with the overload ladder active, and serving under node churn —
-and adds one auto cell whose in-memory history store explores every tuner
-candidate, ``speculative`` included. Together the labels show every branch
-of the strategy → mode → submission dispatch.
+and adds two auto cells: one whose in-memory history store explores every
+tuner candidate, ``speculative`` included, and one that replays twice over
+one on-disk store so the second replay warm-starts HFSP's size training,
+the admission size oracle and the picker. Together the labels show every
+branch of the strategy → mode → submission dispatch.
 
 The simulator is deterministic, so a drifted hash is a behaviour change.
 When one is intentional, regenerate the snapshot and say why in the
@@ -20,6 +22,7 @@ change log::
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro.faults.plan import churn_plan
 from repro.trace import (
     SCHEDULER_CAPACITY,
     SCHEDULER_FIFO,
+    SCHEDULER_HFSP,
     STRATEGY_AUTO,
     STRATEGY_SPECULATIVE,
     STRATEGY_STOCK,
@@ -58,8 +62,8 @@ ALL_CANDIDATES = TunerConfig.candidates + ("speculative",)
 
 
 def _replay(strategy, conf, mix, *, scheduler=SCHEDULER_FIFO, queue_of=None,
-            fault_plan=None, rate=RATE, duration_s=DURATION_S):
-    trace = poisson_trace(mix, rate, duration_s, seed=SEED)
+            fault_plan=None, rate=RATE, duration_s=DURATION_S, seed=SEED):
+    trace = poisson_trace(mix, rate, duration_s, seed=seed)
     cluster = build_trace_cluster(SPEC, scheduler=scheduler, strategy=strategy,
                                   conf=conf)
     report = replay_load(cluster, trace, strategy, keep_jobs=True,
@@ -86,12 +90,31 @@ def _auto_store_cell():
                    duration_s=2 * DURATION_S)
 
 
+def _warm_start_cell():
+    """Replay one serving trace twice under HFSP over one on-disk store; the
+    second replay starts from what the first recorded.
+
+    Trace seed 1 queues enough AMs and pending jobs that HFSP's seeded
+    sizes, admission's seeded estimates and the picker's seeded arms each
+    move the second report.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = SERVING.with_(tuner=TunerConfig(
+            history_db=os.path.join(tmp, "history.db")))
+        for _ in range(2):
+            cell = _replay(STRATEGY_AUTO, conf, default_serving_mix() + [BIG],
+                           scheduler=SCHEDULER_HFSP, rate=20.0,
+                           duration_s=2 * DURATION_S, seed=1)
+    return cell
+
+
 def build_grid() -> dict:
     """Cell id -> ``(cluster, report)`` for the whole grid."""
     grid = {f"{strategy}/{context}": run(strategy)
             for strategy in TRACE_STRATEGIES
             for context, run in CONTEXTS.items()}
     grid[f"{STRATEGY_AUTO}/memory-store"] = _auto_store_cell()
+    grid[f"{STRATEGY_AUTO}/warm-start"] = _warm_start_cell()
     return grid
 
 
