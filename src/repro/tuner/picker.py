@@ -14,10 +14,15 @@ Per arriving job the picker chooses among the tuner candidates —
   estimate* (then candidate order). Exploring the analytically-best arm
   first means the committed-policy regret never rises while the sweep
   fills in — the monotonicity the oracle-regret suite asserts.
-* **learned** — every candidate trained: argmin of the
-  :class:`~repro.tuner.estimator.HistoryEstimator` EWMA (ties by
-  candidate order). On a deterministic cluster this is the per-signature
-  oracle after one sweep.
+* **learned** — every candidate trained: argmin of the learned EWMA
+  (ties by candidate order). On a deterministic cluster this is the
+  per-signature oracle after one sweep.
+
+The learned estimates live in a :class:`~repro.metrics.SignatureModel`
+keyed by ``(signature, mode)``. It is seeded once from the store's
+successful runs at construction, and :meth:`AutoModePicker.observe_record`
+folds in each later success as it records it; killed and failed runs are
+stored but never trained on.
 
 Everything is deterministic — no RNG, no wall clock — so replays with a
 tuner are as snapshot-stable as replays without one.
@@ -26,16 +31,20 @@ tuner are as snapshot-stable as replays without one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..config import TunerConfig
 from ..core.estimator import EstimatorInputs, analytic_estimates, pick_mode
-from .estimator import HistoryEstimator
+from ..metrics import SignatureModel, seed_from_history
 from .store import OUTCOME_SUCCESS, RunHistoryStore, RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
     from ..workloads.base import WorkloadProfile
+
+#: The picker's model key of a run: its ``(signature, mode)`` cell.
+_cell = attrgetter("signature", "mode")
 
 #: Decision provenance labels (surfaced in reports and per-job rows).
 SOURCE_ANALYTIC = "analytic"
@@ -86,9 +95,10 @@ class AutoModePicker:
                  config: Optional[TunerConfig] = None) -> None:
         self.config = config if config is not None else TunerConfig()
         self.store = store
-        self.estimator = (HistoryEstimator(store, alpha=self.config.ewma_alpha,
-                                           percentile=self.config.percentile)
-                          if store is not None else None)
+        #: Successful service times per ``(signature, mode)`` cell.
+        self.model = SignatureModel()
+        if store is not None:
+            seed_from_history(self.model, store, key=_cell)
         #: Decision provenance counters (report/CI smoke surface).
         self.sources: dict[str, int] = {}
 
@@ -107,7 +117,7 @@ class AutoModePicker:
     def _decide_learning(self, signature: str,
                          analytic: Mapping[str, float]) -> AutoDecision:
         candidates = self.config.candidates
-        counts = {m: self.estimator.samples(signature, m) for m in candidates}
+        counts = {m: self.model.samples((signature, m)) for m in candidates}
         untrained = [m for m in candidates
                      if counts[m] < self.config.train_runs]
         if untrained:
@@ -116,8 +126,7 @@ class AutoModePicker:
                                       analytic.get(m, float("inf")),
                                       candidates.index(m)))
             return AutoDecision(mode, SOURCE_EXPLORE, dict(analytic))
-        learned = {m: self.estimator.estimate(signature, m)
-                   for m in candidates}
+        learned = {m: self.model.ewma((signature, m)) for m in candidates}
         mode = min(candidates,
                    key=lambda m: (learned[m], candidates.index(m)))
         return AutoDecision(mode, SOURCE_LEARNED, learned)
@@ -131,11 +140,18 @@ class AutoModePicker:
         policy's regret, which is non-increasing by construction (the
         sampled set only grows and measurements never change).
         """
-        if self.store is not None:
-            best = self.estimator.best(signature, self.config.candidates)
-            if best is not None:
-                return best
-        return pick_mode(inputs)
+        best = self.best(signature)
+        return best if best is not None else pick_mode(inputs)
+
+    def best(self, signature: str) -> Optional[str]:
+        """Argmin learned EWMA among candidates with data (ties: candidate
+        order); ``None`` until some candidate has a success."""
+        candidates = self.config.candidates
+        sampled = [m for m in candidates if (signature, m) in self.model]
+        if not sampled:
+            return None
+        return min(sampled, key=lambda m: (self.model.ewma((signature, m)),
+                                           candidates.index(m)))
 
     def observe(self, signature: str, mode: str, elapsed_s: float,
                 outcome: str = OUTCOME_SUCCESS, *, input_mb: float = 0.0,
@@ -150,10 +166,13 @@ class AutoModePicker:
             finished_at=finished_at))
 
     def observe_record(self, record: RunRecord) -> None:
-        """Record a pre-built :class:`RunRecord` (no-op when learning is off)."""
+        """Record a pre-built :class:`RunRecord` and learn from it if it
+        succeeded (no-op when learning is off)."""
         if self.store is None:
             return
         self.store.record(record)
+        if record.success:
+            self.model.observe(_cell(record), record.elapsed_s)
 
     def report(self) -> dict:
         """JSON-stable tuner section for :class:`repro.trace.LoadReport`."""

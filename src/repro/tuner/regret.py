@@ -163,8 +163,7 @@ def run_regret(spec: "ClusterSpec", template: "JobTemplate", *,
                 num_files=template.num_files, file_mb=template.file_mb)
             regret = result.elapsed - report.oracle_s
             cumulative += regret
-            exploit = picker.estimator.best(template.name,
-                                            tuner_conf.candidates)
+            exploit = picker.best(template.name)
             exploit = exploit if exploit is not None else decision.mode
             report.rounds.append(RegretRound(
                 index=index, mode=decision.mode, source=decision.source,

@@ -7,9 +7,9 @@ MRapid's *mode* decision: every finished run is recorded under its
 ``(signature, mode)`` cell — elapsed service time, AM overhead, the mean
 per-map phase breakdown (the same sub-phase vocabulary as
 :class:`repro.history.PhaseBreakdown`), and the outcome — so the
-:class:`~repro.tuner.estimator.HistoryEstimator` can answer "how long does
-a ``scan`` take under U+ on this cluster?" from measurements instead of
-the static Eq. 1–3 model.
+:class:`~repro.tuner.picker.AutoModePicker` can answer "how long does a
+``scan`` take under U+ on this cluster?" from measurements instead of the
+static Eq. 1–3 model.
 
 Three backends share one API, selected by path:
 

@@ -191,58 +191,20 @@ def test_streaming_summary_rejects_unknown_quantile():
         summary.percentile(42.0)
 
 
-# -- store-backed estimates vs the exact reference --------------------------------
-
-
-def _store_with(values, ring_size=512):
-    from repro.tuner import RunHistoryStore, RunRecord
-
-    store = RunHistoryStore(None, ring_size=ring_size)
-    for v in values:
-        store.record(RunRecord("sig", "uplus", float(v)))
-    return store
-
-
-def test_history_estimator_tail_exact_below_five_samples():
-    """The tuner's tail view rides the same P2 tracker as the replay
-    reports: below five samples it must be the exact nearest-rank value."""
-    from repro.tuner import HistoryEstimator
-
-    for n in range(1, 5):
-        values = [float(3 * i % 7) for i in range(n)]
-        est = HistoryEstimator(_store_with(values), percentile=95.0)
-        assert est.tail("sig", "uplus") == exact_percentile(values, 95.0)
-
-
-@pytest.mark.parametrize("dist,bound", [
-    ("uniform", 0.03),
-    ("exponential", 0.12),
-])
-def test_history_estimator_tail_tracks_exact_percentile(dist, bound):
-    """Differential test: the store-backed p95 stays within an explicit
-    relative error bound of the exact sorted-list percentile over realistic
-    service-time distributions (same P2 caveats as the summary tests;
-    looser than the 2000-sample bounds above because a history cell holds
-    at most ring_size=512 observations here)."""
-    from repro.tuner import HistoryEstimator
-
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        if dist == "uniform":
-            xs = rng.uniform(1.0, 100.0, 400)
-        else:
-            xs = rng.exponential(30.0, 400)
-        est = HistoryEstimator(_store_with(xs), percentile=95.0)
-        exact = exact_percentile([float(x) for x in xs], 95.0)
-        rel_err = abs(est.tail("sig", "uplus") - exact) / abs(exact)
-        assert rel_err <= bound, (dist, seed, rel_err)
+# -- the signature size model vs the exact reference -------------------------------
 
 
 def test_history_estimator_mean_matches_exact_mean():
-    from repro.tuner import HistoryEstimator
+    """A SignatureModel seeded from a store holds the exact running mean."""
+    from repro.metrics import SignatureModel, seed_from_history
+    from repro.tuner import RunHistoryStore, RunRecord
 
     rng = np.random.default_rng(3)
     xs = [float(x) for x in rng.exponential(20.0, 200)]
-    est = HistoryEstimator(_store_with(xs))
-    assert est.mean("sig", "uplus") == pytest.approx(math.fsum(xs) / len(xs),
-                                                     rel=1e-9)
+    store = RunHistoryStore(None, ring_size=512)
+    for x in xs:
+        store.record(RunRecord("sig", "uplus", x))
+    model = SignatureModel()
+    seed_from_history(model, store)
+    assert model.mean("sig") == pytest.approx(math.fsum(xs) / len(xs),
+                                              rel=1e-9)

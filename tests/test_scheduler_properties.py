@@ -191,14 +191,12 @@ def test_property_hfsp_aging_prevents_starvation(big_size, small_size, rate):
     """Any waiting job eventually outranks any freshly arrived job: its aged
     key falls below the fresh job's (non-negative) key after a bounded wait,
     whatever the adversarial size mix."""
-    from repro.yarn import SizeStats
-
     cluster = mk_cluster(2, HFSPScheduler(aging_rate=rate, training_samples=1))
     sched = cluster.scheduler
     old = hfsp_app(cluster, "app_0001", "big", submit_time=0.0)
     # Train both signatures to the adversarial sizes.
-    sched.sizes["big"] = SizeStats(samples=1, total_s=big_size)
-    sched.sizes["small"] = SizeStats(samples=1, total_s=small_size)
+    sched.sizes.observe("big", big_size)
+    sched.sizes.observe("small", small_size)
     # Bound on the wait: after big_size/rate seconds the old job's key has
     # aged below zero, under any fresh job's (non-negative) key.
     horizon = big_size / rate + 1.0
@@ -221,9 +219,9 @@ def test_property_hfsp_am_order_permutation_invariant(perm):
     apps = [hfsp_app(cluster, f"app_{i:04d}", f"sig{i}", submit_time=float(i))
             for i in range(5)]
     sched = cluster.scheduler
-    from repro.yarn import SizeStats
     for i in range(5):
-        sched.sizes[f"sig{i}"] = SizeStats(samples=2, total_s=2.0 * (5 - i))
+        for _ in range(2):
+            sched.sizes.observe(f"sig{i}", 5.0 - i)
     baseline = [a.app_id for a in sched.am_queue_order(list(apps))]
     shuffled = [apps[i] for i in perm]
     assert [a.app_id for a in sched.am_queue_order(shuffled)] == baseline
