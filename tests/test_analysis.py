@@ -9,6 +9,8 @@ import json
 import os
 import textwrap
 
+import pytest
+
 from repro.analysis import Baseline, analyze_paths
 from repro.analysis import main as analysis_main
 from repro.analysis.callgraph import build_project
@@ -596,18 +598,23 @@ def test_baseline_count_budget_is_enforced():
 
 # -- whole-tree integration ----------------------------------------------------
 
-def test_live_tree_has_no_non_baselined_findings():
+@pytest.fixture(scope="module")
+def live_tree():
+    """One whole-program pass over the live tree, shared by the tests below."""
     baseline = Baseline.find(SRC_ROOT)
     assert baseline.path is not None, "lint_baseline.json missing"
-    result = analyze_paths([SRC_ROOT], baseline=baseline)
+    return baseline, analyze_paths([SRC_ROOT], baseline=baseline)
+
+
+def test_live_tree_has_no_non_baselined_findings(live_tree):
+    _, result = live_tree
     assert result.parse_errors == []
     assert [f.render() for f in result.new] == []
 
 
-def test_every_baseline_entry_is_still_used():
+def test_every_baseline_entry_is_still_used(live_tree):
     """Stale baseline entries must be pruned, not accumulate."""
-    baseline = Baseline.find(SRC_ROOT)
-    result = analyze_paths([SRC_ROOT], baseline=baseline)
+    baseline, result = live_tree
     used = {}
     for finding, line_text in result.findings:
         key = finding.baseline_key(line_text)
@@ -623,10 +630,12 @@ def test_every_baseline_entry_has_justification():
             f"baseline entry without a why: {key}")
 
 
-def test_json_output_schema(capsys):
-    code = analysis_main(["--json", SRC_ROOT])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+def test_json_output_schema(live_tree):
+    """The ``--json`` payload of the live tree (the CLI prints exactly this
+    ``to_dict()``; test_main_exit_codes covers the flag itself)."""
+    _, result = live_tree
+    payload = json.loads(json.dumps(result.to_dict()))
+    assert not result.parse_errors and not result.new   # exit code 0
     assert payload["version"] == 2
     assert payload["new_count"] == 0
     assert set(payload["rules"]) == set(rule_catalog())
@@ -651,6 +660,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert analysis_main(["--no-baseline", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "MR102" in out
+    assert analysis_main(["--no-baseline", "--json", str(bad)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["new_count"] == 1
+    assert [f["code"] for f in payload["findings"]] == ["MR102"]
     (bad / "broken.py").write_text("def f(:\n")
     assert analysis_main(["--no-baseline", str(bad)]) == 2
 
