@@ -154,9 +154,5 @@ class DPlusScheduler(SchedulerBase):
             tag=request.tag,
         )
         node.allocate(request.resource, memory_only=not self.balanced_spread)
-        tracer = self.rm.env.tracer
-        if tracer is not None:
-            tracer.metrics.incr("scheduler:grants")
-            tracer.metrics.observe("scheduler:grant_queue_delay_s",
-                                   self.rm.env.now - item.enqueued_at)
+        self._count_grant(item)
         return container

@@ -12,16 +12,20 @@ stock scheduler (:func:`build_stock_cluster`).
 :func:`submit_job` is the proxy's dispatch (paper §III-C, Figure 6) and the
 one place that maps a mode name to a submission path; every replay
 strategy, chain stage, chaos point, tuner arm and CLI run goes through it.
+:func:`settle_job` (``yield from`` it) or :func:`job_outcome` turns how a
+job ended into one :class:`JobOutcome`, the record every learner reads.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..config import ClusterSpec, HadoopConfig, MRapidConfig
 from ..mapreduce.client import MODE_AUTO, MODE_DISTRIBUTED, MODE_UBER, JobClient
 from ..mapreduce.spec import JobResult, SimJobSpec
 from ..simcluster import SimCluster
+from ..yarn.resourcemanager import JobKilled
 from ..yarn.scheduler import CapacityScheduler
 from .ampool import MODE_DPLUS, MODE_UPLUS, SubmissionFramework
 from .decision import DecisionMaker
@@ -39,6 +43,12 @@ _CLIENT_MODES = {"stock": MODE_AUTO, "uber": MODE_UBER,
 _FRAMEWORK_MODES = {"dplus": MODE_DPLUS, "uplus": MODE_UPLUS}
 MODE_SPECULATIVE = "speculative"
 SUBMIT_MODES = (*_CLIENT_MODES, *_FRAMEWORK_MODES, MODE_SPECULATIVE)
+
+#: How a dispatched job settled.
+OUTCOME_SUCCESS = "success"
+OUTCOME_KILLED = "killed"
+OUTCOME_FAILED = "failed"
+OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_KILLED, OUTCOME_FAILED)
 
 
 def build_stock_cluster(spec: ClusterSpec, conf: Optional[HadoopConfig] = None,
@@ -113,6 +123,75 @@ def winner_and_loser(value: Any) -> tuple[JobResult, Optional[JobResult]]:
     if isinstance(value, SpeculationOutcome):
         return value.winner, value.loser
     return value, None
+
+
+def service_s(elapsed_s: float, am_overhead_s: float) -> float:
+    """A run's AM start to finish: how HFSP sizes a live outcome and a
+    stored run alike, so AM queueing never counts."""
+    return max(0.0, elapsed_s - am_overhead_s)
+
+
+@dataclass(frozen=True)
+class JobOutcome:
+    """How one dispatched job settled: the record every learner reads.
+
+    HFSP takes the winner's :attr:`service_s`, admission :attr:`elapsed_s`,
+    the tuner store a :func:`repro.tuner.record_from_outcome`, LoadReport
+    its counters and rows. ``winner`` is ``None`` when the submission
+    raised; ``loser`` is a killed speculation loser.
+    """
+
+    signature: str
+    mode: str  # as submitted, one of SUBMIT_MODES
+    winner: Optional[JobResult]
+    loser: Optional[JobResult]
+    outcome: str  # one of OUTCOMES
+    submitted_at: float
+    finished_at: float
+
+    @property
+    def success(self) -> bool:
+        return self.outcome == OUTCOME_SUCCESS
+
+    @property
+    def elapsed_s(self) -> float:
+        return self.finished_at - self.submitted_at
+
+    @property
+    def service_s(self) -> float:
+        return service_s(self.winner.elapsed, self.winner.am_overhead)
+
+
+def job_outcome(spec: SimJobSpec, mode: str, submitted_at: float,
+                finished_at: float, value: Any = None,
+                error: Optional[BaseException] = None) -> JobOutcome:
+    """Classify a settled submission by its ``value`` or the ``error`` it
+    raised (:class:`JobKilled` is killed, anything else failed)."""
+    winner = loser = None
+    if error is not None:
+        outcome = OUTCOME_KILLED if isinstance(error, JobKilled) else OUTCOME_FAILED
+    else:
+        winner, loser = winner_and_loser(value)
+        outcome = (OUTCOME_KILLED if winner.killed
+                   else OUTCOME_FAILED if winner.failed else OUTCOME_SUCCESS)
+    return JobOutcome(spec.signature, mode, winner, loser, outcome,
+                      submitted_at, finished_at)
+
+
+def settle_job(cluster: SimCluster, spec: SimJobSpec, mode: str, *,
+               queue: Optional[str] = None,
+               fifo_key: Optional[int] = None) -> Generator:
+    """:func:`submit_job`, wait (``yield from`` it) and return the
+    :class:`JobOutcome`. A raising submission — an AM out of attempts under
+    a fault plan — settles as failed rather than ending a long replay."""
+    env = cluster.env
+    submitted_at = env.now
+    try:
+        value = yield submit_job(cluster, spec, mode, queue=queue,
+                                 fifo_key=fifo_key)
+    except Exception as exc:
+        return job_outcome(spec, mode, submitted_at, env.now, error=exc)
+    return job_outcome(spec, mode, submitted_at, env.now, value)
 
 
 def run_stock_job(cluster: SimCluster, spec: SimJobSpec, mode: str) -> JobResult:

@@ -15,8 +15,6 @@ from .admission import REASON_CAPACITY, REASON_DEADLINE, AdmissionController, De
 from .autoscaler import Autoscaler
 from .runtime import (
     OUTCOME_COMPLETED,
-    SIGNAL_DISPATCH,
-    SIGNAL_SHED,
     ServingRuntime,
 )
 from .slo import (
@@ -42,8 +40,6 @@ __all__ = [
     "OUTCOME_SHED",
     "REASON_CAPACITY",
     "REASON_DEADLINE",
-    "SIGNAL_DISPATCH",
-    "SIGNAL_SHED",
     "SLO_BATCH",
     "SLO_CLASSES",
     "SLO_LATENCY",

@@ -10,16 +10,15 @@ live NodeManager fleet.
 The replay driver (:func:`repro.trace.replay_load`) drives it per job:
 
 1. ``slo = runtime.resolve(trace_job)`` — fix SLO class and absolute deadline;
-2. ``decision = runtime.offer(slo)`` — admission (driver handles
-   retry-with-backoff on rejection);
-3. ``signal = yield runtime.dispatch_event(slo)`` — waits for a slot;
-   resolves ``"dispatch"`` or ``"shed"`` (evicted while pending);
-4. submit through the normal strategy path, possibly degraded
-   (``runtime.degraded_mode_for(slo)``);
-5. ``outcome = runtime.job_finished(slo, service_s)`` (or ``job_aborted``).
+2. ``label = yield from runtime.admit(slo)`` — admission with retries,
+   then the wait for a slot; a label (rejected, shed) ends the job;
+3. submit, possibly degraded (``runtime.degraded_mode_for(slo)``), and
+   settle into one :class:`~repro.core.submit.JobOutcome`;
+4. ``runtime.job_finished(slo, outcome)`` (admission learns its
+   submission-to-settlement time) or ``runtime.job_aborted(slo)``.
 
-With ``admission=False`` (the "static" arm of Figure S1) steps 2–3 are
-pass-throughs and only deadline accounting remains, so static runs measure
+With ``admission=False`` (the "static" arm of Figure S1) step 2 is a
+pass-through and only deadline accounting remains, so static runs measure
 the same attainment metric through the same code path.
 """
 
@@ -42,13 +41,10 @@ from .slo import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.submit import JobOutcome
     from ..simcluster import SimCluster
     from ..simulation.events import Event
     from ..trace import TraceJob
-
-#: Values a dispatch event resolves with.
-SIGNAL_DISPATCH = "dispatch"
-SIGNAL_SHED = "shed"
 
 #: Outcome of a batch job that simply completed (no deadline to meet).
 OUTCOME_COMPLETED = "completed"
@@ -68,6 +64,8 @@ class ServingRuntime:
         self.env = cluster.env
         self.serving = serving
         self.controller = AdmissionController(serving)
+        #: Admitted job index -> event resolving ``None`` on dispatch or
+        #: ``OUTCOME_SHED`` when the job is evicted while pending.
         self._waiters: dict[int, "Event"] = {}
         #: Dispatch tickets: job index -> the monotone sequence number of
         #: its controller dispatch. One ``_pump`` call can free several
@@ -157,9 +155,6 @@ class ServingRuntime:
             self._pump()
         return decision
 
-    def record_retry(self) -> None:
-        self.counts["retries"] += 1
-
     def record_rejection(self, decision: Decision) -> str:
         """A submission gave up (retries exhausted): final outcome."""
         self.counts["rejected"] += 1
@@ -167,25 +162,29 @@ class ServingRuntime:
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
         return OUTCOME_REJECTED
 
-    def retry_delay_s(self, attempt: int) -> float:
-        """Deterministic exponential backoff for rejected submissions."""
-        return self.serving.retry_backoff_s * (2 ** attempt)
+    def admit(self, slo: SLOJob) -> Generator:
+        """Offer an arrival with deterministic exponential-backoff retries,
+        then wait for its slot (``yield from`` it). Returns ``None`` once
+        dispatched, else the final outcome: rejected or shed. The waiter
+        entry is dropped here, so the waiter map stays bounded by the
+        pending+running population."""
+        attempt = 0
+        while True:
+            decision = self.offer(slo)
+            if decision.admitted:
+                break
+            if attempt >= self.serving.retry_max:
+                return self.record_rejection(decision)
+            yield self.env.timeout(self.serving.retry_backoff_s * (2 ** attempt))
+            attempt += 1
+            self.counts["retries"] += 1
+        if not self.serving.admission:
+            return None
+        label = yield self._waiters[slo.index]
+        self._waiters.pop(slo.index, None)
+        return label
 
     # -- dispatch --------------------------------------------------------------
-    def wait_dispatch(self, slo: SLOJob) -> Generator:
-        """Wait for this admitted job's slot (``yield from`` in the driver).
-
-        Returns ``"dispatch"`` or ``"shed"``. The waiter entry lives until
-        the driver consumes the signal here — it may resolve synchronously
-        inside :meth:`offer` (slot free on arrival) or much later — so the
-        waiter map stays bounded by the pending+running population.
-        """
-        if not self.serving.admission:
-            return SIGNAL_DISPATCH
-        signal = yield self._waiters[slo.index]
-        self._waiters.pop(slo.index, None)
-        return signal
-
     def dispatch_ticket(self, slo: SLOJob) -> Optional[int]:
         """This job's dispatch sequence number (once; ``None`` thereafter).
 
@@ -213,13 +212,13 @@ class ServingRuntime:
             self._tickets[job.index] = next(self._dispatch_seq)
             waiter = self._waiters.get(job.index)
             if waiter is not None and not waiter.triggered:
-                waiter.succeed(SIGNAL_DISPATCH)
+                waiter.succeed(None)
 
     def _resolve_shed(self, victim: SLOJob) -> None:
         self.counts["shed"] += 1
         waiter = self._waiters.get(victim.index)
         if waiter is not None and not waiter.triggered:
-            waiter.succeed(SIGNAL_SHED)
+            waiter.succeed(OUTCOME_SHED)
 
     def _watchdog(self) -> Generator:
         while True:
@@ -227,10 +226,10 @@ class ServingRuntime:
             self._pump()
 
     # -- completion ------------------------------------------------------------
-    def job_finished(self, slo: SLOJob, service_s: float) -> str:
+    def job_finished(self, slo: SLOJob, outcome: "JobOutcome") -> str:
         """Successful completion: train the size model, settle the deadline."""
         if self.serving.admission:
-            self.controller.job_finished(slo.index, slo.name, service_s)
+            self.controller.job_finished(slo.index, slo.name, outcome.elapsed_s)
         else:
             self._static_in_flight -= 1
         self._tickets.pop(slo.index, None)

@@ -25,19 +25,20 @@ mode, the tuner's choice, or the serving overload ladder's — and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from .config import SLO_BATCH, SLO_CLASSES, SLO_LATENCY
-from .core.submit import run_job, submit_job, winner_and_loser
+from .core.submit import (OUTCOME_FAILED, OUTCOME_KILLED, JobOutcome,
+                          run_job, settle_job)
 from .mapreduce.spec import SimJobSpec
 from .metrics import StreamingSummary, seed_from_history
-from .serving.runtime import SIGNAL_SHED, ServingRuntime
-from .serving.slo import OUTCOME_REJECTED, OUTCOME_SHED, SLOJob
+from .serving.runtime import ServingRuntime
+from .serving.slo import SLOJob
 from .workloads.base import WorkloadProfile
 from .yarn.hfsp import HFSPScheduler
-from .yarn.resourcemanager import JobKilled
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ClusterSpec, HadoopConfig
@@ -369,6 +370,19 @@ class LoadReport:
             out["jobs"] = self.per_job
         return out
 
+    def count(self, outcome: JobOutcome, decision: str, sojourn_s: float,
+              baseline_s: float) -> None:
+        """Account one settled job in the counters or distributions."""
+        if outcome.outcome == OUTCOME_KILLED:
+            self.killed += 1
+        elif outcome.outcome == OUTCOME_FAILED:
+            self.failed += 1
+        else:
+            self.sojourn.add(sojourn_s)
+            if baseline_s > 0:
+                self.slowdown.add(sojourn_s / baseline_s)
+            self.decisions[decision] = self.decisions.get(decision, 0) + 1
+
     def summary(self) -> str:
         line = (f"{self.scheduler or 'fifo'}/{self.strategy}: "
                 f"{self.jobs_completed}/{self.jobs_submitted} jobs, "
@@ -396,18 +410,15 @@ def seed_replay_models(cluster: "SimCluster", history: "RunHistoryStore",
     """Warm-start a replay's size models from durable run history.
 
     HFSP's size training and the serving admission oracle skip their cold
-    start for signatures a previous replay measured. Each learns the
-    interval it measures live: HFSP from AM launch to finish (a stored
-    run's elapsed time less its AM overhead, so AM queueing does not
-    inflate sizes), admission from dispatch to finish (the elapsed time of
-    a job submitted at dispatch). The ``auto`` picker seeds its own model
-    when it is built.
+    start for signatures a previous replay measured, each from the interval
+    it takes from a live :class:`~repro.core.submit.JobOutcome`: HFSP AM
+    start to finish, admission the elapsed time. The ``auto`` picker seeds
+    its own model when it is built.
     """
     scheduler = cluster.rm.scheduler
     if isinstance(scheduler, HFSPScheduler):
-        seed_from_history(
-            scheduler.sizes, history,
-            seconds=lambda run: max(0.0, run.elapsed_s - run.am_overhead_s))
+        seed_from_history(scheduler.sizes, history,
+                          seconds=attrgetter("service_s"))
     if runtime is not None:
         seed_from_history(runtime.controller.sizes, history)
 
@@ -449,7 +460,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     if strategy == STRATEGY_AUTO:
         from .config import TunerConfig
         from .tuner import (AutoModePicker, RunHistoryStore,
-                            record_from_result, template_inputs)
+                            record_from_outcome, template_inputs)
         tuner_conf = (cluster.conf.tuner if cluster.conf.tuner is not None
                       else TunerConfig())
         history = (RunHistoryStore(tuner_conf.history_db,
@@ -476,6 +487,7 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
     cluster.log.bound(_REPLAY_LOG_LIMIT)
     cluster.rm.retain_finished_apps = False
     tracer = env.tracer
+    hfsp = cluster.rm.scheduler if isinstance(cluster.rm.scheduler, HFSPScheduler) else None
 
     in_flight = 0
     completed = 0
@@ -490,52 +502,32 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
         nonlocal in_flight, completed
         slo = runtime.resolve(job) if runtime is not None else None
         paths: list[str] = []
-        outputs: list[str] = []
-        result = None
-        decision = "killed"
-        outcome: Optional[str] = None
-        dispatched = False
-        auto = None  # the tuner's AutoDecision, when it chose the mode
+        outcome: Optional[JobOutcome] = None
 
-        def record_row(label: Optional[str], sojourn: Optional[float] = None) -> None:
-            if not keep_jobs:
-                return
+        def add_row(label: Optional[str], sojourn: Optional[float] = None,
+                    decision: str = "") -> None:
             row: dict = {"index": job.index, "name": job.template.name,
                          "arrival_s": round(job.arrival_s, 6)}
             if sojourn is not None:
                 row["sojourn_s"] = round(sojourn, 6)
                 row["decision"] = decision
-            if runtime is not None:
+            if slo is not None:
                 row["slo_class"] = slo.slo_class
                 row["outcome"] = label
-            if sojourn is not None or runtime is not None:
-                report.per_job.append(row)
+            report.per_job.append(row)
 
         try:
             if runtime is not None:
-                attempt = 0
-                while True:
-                    admit = runtime.offer(slo)
-                    if admit.admitted:
-                        break
-                    if attempt >= serving.retry_max:
-                        outcome = decision = runtime.record_rejection(admit)
-                        record_row(outcome)
-                        return
-                    yield env.timeout(runtime.retry_delay_s(attempt))
-                    attempt += 1
-                    runtime.record_retry()
-                signal = yield from runtime.wait_dispatch(slo)
-                if signal == SIGNAL_SHED:
-                    outcome = decision = OUTCOME_SHED
-                    record_row(outcome)
+                label = yield from runtime.admit(slo)
+                if label is not None:  # rejected, or shed while pending
+                    if keep_jobs:
+                        add_row(label)
                     return
-                dispatched = True
-            dispatched_at = env.now
             paths = cluster.load_input_files(
                 f"/trace/{job.index:05d}", job.template.num_files, job.template.file_mb)
             spec = SimJobSpec(job.template.name, tuple(paths), job.template.profile,
                               signature=job.signature)
+            auto = None  # the tuner's AutoDecision, when it chose the mode
             if runtime is not None and runtime.degraded_mode_for(slo):
                 mode = overload_mode(strategy, slo)
             elif picker is not None:
@@ -545,7 +537,6 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                     cluster, job.template.num_files, job.template.file_mb,
                     job.template.profile))
                 mode = auto.mode
-                decision = f"auto-{mode}"
             else:
                 mode = _STRATEGY_MODES[strategy]
             queue = queue_of(job.template.name) if queue_of is not None else None
@@ -554,61 +545,29 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
             # reach the RM in controller (EDF) order, not kernel tie-break
             # order.
             ticket = runtime.dispatch_ticket(slo) if runtime is not None else None
-            try:
-                value = yield submit_job(cluster, spec, mode, queue=queue,
-                                         fifo_key=ticket)
-                result, loser = winner_and_loser(value)
-                if loser is not None:
-                    outputs.append(f"/out/{loser.app_id}")
-                if auto is None:
-                    decision = result.mode
-            except JobKilled:
-                report.killed += 1
-                outcome = "killed"
-            except Exception:
-                # Under a fault plan an AM can die terminally (attempts
-                # exhausted); the submission future re-raises. One dead job
-                # must not kill a thousand-job replay.
-                report.failed += 1
-                outcome = "failed"
-            sojourn = env.now - job.arrival_s
-            if result is not None:
-                if result.killed:
-                    report.killed += 1
-                    outcome = "killed"
-                elif result.failed:
-                    report.failed += 1
-                    outcome = "failed"
-            success = (result is not None
-                       and not result.killed and not result.failed)
+            outcome = yield from settle_job(cluster, spec, mode, queue=queue,
+                                            fifo_key=ticket)
+            # Every learner reads the one outcome; each trains on successes
+            # only, and the store also keeps killed and failed runs.
+            if hfsp is not None:
+                hfsp.observe(outcome)
             if auto is not None:
-                # Feed the outcome back into the store — killed/failed runs
-                # are recorded too (so the ring reflects reality) but never
-                # count toward training (the estimator uses successes only).
-                if result is not None:
-                    picker.observe_record(record_from_result(
-                        result, job.signature, auto.mode,
-                        input_mb=job.template.num_files * job.template.file_mb,
-                        finished_at=env.now))
+                picker.observe_record(record_from_outcome(
+                    outcome, input_mb=job.template.num_files * job.template.file_mb))
+            label = outcome.outcome
+            if runtime is not None:
+                if outcome.success:
+                    label = runtime.job_finished(slo, outcome)
                 else:
-                    picker.observe(job.signature, auto.mode,
-                                   max(0.0, env.now - dispatched_at),
-                                   outcome=outcome or "failed",
-                                   finished_at=env.now)
-            if success:
-                if runtime is not None:
-                    outcome = runtime.job_finished(slo, env.now - dispatched_at)
-                report.sojourn.add(sojourn)
-                baseline = (baselines or {}).get(job.template.name, 0.0)
-                if baseline > 0:
-                    report.slowdown.add(sojourn / baseline)
-                report.decisions[decision] = report.decisions.get(decision, 0) + 1
-                record_row(outcome, sojourn)
-            else:
-                if runtime is not None:
-                    if dispatched:
-                        runtime.job_aborted(slo)
-                    record_row(outcome)
+                    runtime.job_aborted(slo)
+            decision = (f"auto-{mode}" if auto is not None
+                        else outcome.winner.mode if outcome.winner is not None
+                        else "killed")
+            sojourn = outcome.finished_at - job.arrival_s
+            report.count(outcome, decision, sojourn,
+                         (baselines or {}).get(job.template.name, 0.0))
+            if keep_jobs and (outcome.success or slo is not None):
+                add_row(label, sojourn if outcome.success else None, decision)
             if tracer is not None:
                 from .observe.tracer import CLUSTER
                 tracer.complete(job.template.name, "trace-job", CLUSTER,
@@ -616,9 +575,10 @@ def replay_load(cluster: "SimCluster", trace: Sequence[TraceJob],
                                 index=job.index, decision=decision,
                                 sojourn_s=round(sojourn, 6))
         finally:
-            if result is not None:
-                outputs.append(f"/out/{result.app_id}")
-            for path in paths + outputs:
+            if outcome is not None:
+                paths += [f"/out/{r.app_id}" for r in (outcome.loser, outcome.winner)
+                          if r is not None]
+            for path in paths:
                 if cluster.namenode.exists(path):
                     cluster.namenode.delete(path)
             in_flight -= 1

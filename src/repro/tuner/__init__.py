@@ -13,19 +13,19 @@ Enabled via :class:`repro.config.TunerConfig` (``HadoopConfig.tuner``);
 ``None`` — the default — leaves every legacy code path byte-identical.
 """
 
+from ..core.submit import OUTCOME_FAILED, OUTCOME_KILLED, OUTCOME_SUCCESS
 from .picker import (SOURCE_ANALYTIC, SOURCE_EXPLORE, SOURCE_LEARNED,
                      AutoDecision, AutoModePicker, run_auto_job,
                      template_inputs)
 from .regret import RegretReport, RegretRound, run_regret, static_baselines
-from .store import (OUTCOME_FAILED, OUTCOME_KILLED, OUTCOME_SUCCESS,
-                    PHASE_FIELDS, RunHistoryStore, RunRecord, phase_means,
-                    record_from_result)
+from .store import (PHASE_FIELDS, RunHistoryStore, RunRecord, phase_means,
+                    record_from_outcome)
 
 __all__ = [
     "AutoDecision", "AutoModePicker",
     "OUTCOME_FAILED", "OUTCOME_KILLED", "OUTCOME_SUCCESS", "PHASE_FIELDS",
     "RegretReport", "RegretRound", "RunHistoryStore", "RunRecord",
     "SOURCE_ANALYTIC", "SOURCE_EXPLORE", "SOURCE_LEARNED",
-    "phase_means", "record_from_result", "run_auto_job", "run_regret",
+    "phase_means", "record_from_outcome", "run_auto_job", "run_regret",
     "static_baselines", "template_inputs",
 ]

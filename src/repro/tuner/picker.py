@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 from ..config import TunerConfig
 from ..core.estimator import EstimatorInputs, analytic_estimates, pick_mode
 from ..metrics import SignatureModel, seed_from_history
-from .store import OUTCOME_SUCCESS, RunHistoryStore, RunRecord
+from .store import RunHistoryStore, RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcluster import SimCluster
@@ -153,18 +153,6 @@ class AutoModePicker:
         return min(sampled, key=lambda m: (self.model.ewma((signature, m)),
                                            candidates.index(m)))
 
-    def observe(self, signature: str, mode: str, elapsed_s: float,
-                outcome: str = OUTCOME_SUCCESS, *, input_mb: float = 0.0,
-                am_overhead_s: float = 0.0,
-                phases: Optional[Mapping[str, float]] = None,
-                finished_at: float = 0.0) -> None:
-        """Record one run into the store (no-op when learning is off)."""
-        self.observe_record(RunRecord(
-            signature=signature, mode=mode, elapsed_s=elapsed_s,
-            outcome=outcome, input_mb=input_mb,
-            am_overhead_s=am_overhead_s, phases=phases or {},
-            finished_at=finished_at))
-
     def observe_record(self, record: RunRecord) -> None:
         """Record a pre-built :class:`RunRecord` and learn from it if it
         succeeded (no-op when learning is off)."""
@@ -195,14 +183,15 @@ def run_auto_job(cluster: "SimCluster", spec, picker: AutoModePicker,
     :func:`repro.trace.build_trace_cluster` and any non-stock strategy).
     Used by ``repro run --mode auto --history-db`` and the regret harness.
     """
-    from ..core.submit import run_job, winner_and_loser
-    from .store import record_from_result
+    from ..core.submit import job_outcome, run_job
+    from .store import record_from_outcome
 
     inputs = template_inputs(cluster, num_files, file_mb, spec.profile)
     decision = picker.decide(spec.signature, inputs)
-    result, _loser = winner_and_loser(
-        run_job(cluster, spec, decision.mode, queue=queue))
-    picker.observe_record(record_from_result(
-        result, spec.signature, decision.mode,
-        input_mb=num_files * file_mb, finished_at=cluster.env.now))
-    return result, decision
+    submitted_at = cluster.env.now
+    value = run_job(cluster, spec, decision.mode, queue=queue)
+    outcome = job_outcome(spec, decision.mode, submitted_at,
+                          cluster.env.now, value)
+    picker.observe_record(record_from_outcome(
+        outcome, input_mb=num_files * file_mb))
+    return outcome.winner, decision

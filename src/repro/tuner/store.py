@@ -38,19 +38,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ..core.submit import OUTCOME_SUCCESS, OUTCOMES, service_s
+
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.submit import JobOutcome
     from ..mapreduce.spec import JobResult
 
 try:  # the container may lack the sqlite3 stdlib extension; gate, not crash
     import sqlite3
 except ImportError:  # pragma: no cover - exercised only on minimal builds
     sqlite3 = None  # type: ignore[assignment]
-
-#: Run outcomes the store accepts (mirrors the replay driver's accounting).
-OUTCOME_SUCCESS = "success"
-OUTCOME_KILLED = "killed"
-OUTCOME_FAILED = "failed"
-OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_KILLED, OUTCOME_FAILED)
 
 #: Phase keys persisted per run (mean seconds per finished map task).
 PHASE_FIELDS = ("wait", "launch", "setup", "read", "compute", "spill",
@@ -86,6 +83,11 @@ class RunRecord:
     def success(self) -> bool:
         return self.outcome == OUTCOME_SUCCESS
 
+    @property
+    def service_s(self) -> float:
+        """AM start to finish (:func:`repro.core.submit.service_s`)."""
+        return service_s(self.elapsed_s, self.am_overhead_s)
+
     def to_dict(self) -> dict:
         return {
             "elapsed_s": round(self.elapsed_s, 9),
@@ -108,27 +110,23 @@ def phase_means(result: "JobResult") -> dict[str, float]:
             for name in PHASE_FIELDS}
 
 
-def record_from_result(result: "JobResult", signature: str, mode: str,
-                       input_mb: float = 0.0,
-                       finished_at: Optional[float] = None) -> RunRecord:
-    """Harvest a :class:`RunRecord` from a finished :class:`JobResult`.
+def record_from_outcome(outcome: "JobOutcome",
+                        input_mb: float = 0.0) -> RunRecord:
+    """The store's :class:`RunRecord` of one settled job.
 
-    ``mode`` is the *tuner candidate* label ("stock"/"dplus"/...), not the
-    result's concrete mode string — the store learns per decision arm.
+    The record is filed under the *submitted* mode (the tuner candidate
+    "stock"/"dplus"/..., not the result's concrete mode string) — the store
+    learns per decision arm. A run with a result carries its own timings;
+    one whose submission raised records submission to settlement.
     """
-    if result.killed:
-        outcome = OUTCOME_KILLED
-    elif result.failed:
-        outcome = OUTCOME_FAILED
-    else:
-        outcome = OUTCOME_SUCCESS
+    result = outcome.winner
     return RunRecord(
-        signature=signature, mode=mode,
-        elapsed_s=max(0.0, result.elapsed), outcome=outcome,
-        input_mb=input_mb, am_overhead_s=max(0.0, result.am_overhead),
-        phases=phase_means(result),
-        finished_at=(result.finish_time if finished_at is None
-                     else finished_at))
+        signature=outcome.signature, mode=outcome.mode,
+        elapsed_s=max(0.0, outcome.elapsed_s if result is None else result.elapsed),
+        outcome=outcome.outcome, input_mb=input_mb,
+        am_overhead_s=0.0 if result is None else max(0.0, result.am_overhead),
+        phases={} if result is None else phase_means(result),
+        finished_at=outcome.finished_at)
 
 
 class RunHistoryStore:

@@ -11,9 +11,12 @@ mean sojourn time. This module brings that discipline to the simulated RM:
   runs are *in training*: they are scheduled with a small optimistic size
   guess so the cluster measures them quickly, the same first-samples
   strategy :mod:`repro.core.estimator` uses to feed the D+ decision maker.
-  Completed runs feed ``sizes``, a :class:`~repro.metrics.SignatureModel`,
-  and a trained signature ranks by its running mean of service time. A
-  replay with a run-history store seeds ``sizes`` before its first job
+  A trained signature ranks by the running mean of its service time, AM
+  start to finish (:func:`repro.core.submit.service_s`), held in ``sizes``,
+  a :class:`~repro.metrics.SignatureModel`. The replay feeds every settled
+  job's :class:`~repro.core.submit.JobOutcome` to :meth:`observe`, pooled
+  D+/U+ jobs included, and a replay with a run-history store seeds
+  ``sizes`` from stored runs by the same rule before its first job
   (:func:`repro.trace.seed_replay_models`).
 
 * **Virtual-time aging.** A pure smallest-job-first order starves large
@@ -43,12 +46,15 @@ by running the submission framework on top (see ``repro.trace``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..metrics import SignatureModel
 from .queues import QueueConfig, QueueState
 from .records import Application, Container, ContainerRequest, NodeState
 from .scheduler import PendingAsk, SchedulerBase
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.submit import JobOutcome
 
 
 @dataclass
@@ -82,7 +88,7 @@ class HFSPScheduler(SchedulerBase):
         #: ``True`` reproduces Hadoop 2.2's DefaultResourceCalculator
         #: (memory-only packing); HFSP defaults to multi-dimensional fit.
         self.memory_only = memory_only
-        #: Completed service times (AM launch to finish) per signature.
+        #: Completed service times (AM start to finish) per signature.
         self.sizes = SignatureModel()
         #: app_id -> record (created on first sight of the app).
         self.apps: dict[str, AppRecord] = {}
@@ -176,7 +182,7 @@ class HFSPScheduler(SchedulerBase):
         grants: list[tuple[str, Container]] = []
         if not self.queue_states:
             # Without the queue layer, priority keys are fixed for the whole
-            # heartbeat (estimates only move when an app *finishes*, which
+            # heartbeat (estimates only move when a job *settles*, which
             # cannot happen inside this call), so one sort + one pass grants
             # exactly what the historical grant-then-re-rank loop did — the
             # node's availability only shrinks, so previously skipped asks
@@ -260,26 +266,13 @@ class HFSPScheduler(SchedulerBase):
         queue.used_memory_mb = max(
             0, queue.used_memory_mb - container.resource.memory_mb)
 
-    def on_app_finished(self, app: Application, result=None) -> None:
-        """Training feedback: fold the finished job's service time into the
-        per-signature estimate. Service time runs from AM launch (not
-        submission), so queueing delay under load does not inflate sizes.
-
-        Killed or failed runs carry no usable service time — a kill racing
-        the AM's own completion at the same instant, or an AM that died
-        with attempts exhausted, would otherwise poison the signature's
-        mean with a truncated duration and count toward
-        ``training_samples``, graduating the signature on garbage.
-        """
-        if app.killed or (result is not None
-                          and (getattr(result, "killed", False)
-                               or getattr(result, "failed", False))):
-            return
-        record = self.apps.get(app.app_id)
-        name = record.name if record is not None else app.name
-        started = app.launch_time if app.launch_time > 0 else app.submit_time
-        duration = max(0.0, self.rm.env.now - started)
-        self.sizes.observe(name, duration)
+    def observe(self, outcome: "JobOutcome") -> None:
+        """Training feedback: fold a settled job's service time — its
+        winner's AM start to finish, whatever path submitted it — into the
+        signature's size. Killed or failed jobs carry no usable service
+        time and never count toward ``training_samples``."""
+        if outcome.success:
+            self.sizes.observe(outcome.signature, outcome.service_s)
 
     def remove_app(self, app_id: str) -> None:
         super().remove_app(app_id)

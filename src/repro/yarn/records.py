@@ -171,10 +171,6 @@ class Application:
     #: When the app (re-)entered the AM allocation queue; with ``fifo_key``
     #: this forms the queue's ordering key. Maintained by the RM.
     queue_time: float = 0.0
-    #: When the AM actually started (0.0 until launch). ``launch_time -
-    #: submit_time`` is the allocation wait; size-based schedulers use
-    #: ``finish - launch_time`` as the job's load-independent service time.
-    launch_time: float = 0.0
     am_container: Optional[Container] = None
     #: Fires when the AM starts executing (after launch), value = node_id.
     am_started: Optional["Event"] = None

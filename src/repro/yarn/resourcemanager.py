@@ -168,28 +168,6 @@ class ResourceManager:
         self.log.mark(self.env.now, "app_submitted", app_id=app.app_id)
         return app
 
-    def run_am_directly(self, app: Application, container: Container,
-                        launch_delay: Optional[float] = None) -> None:
-        """Start an AM in an already-granted container (AM-pool path)."""
-        if app.app_id not in self.apps:
-            app.submit_time = self.env.now
-            app.am_started = self.env.event()
-            app.finished = self.env.event()
-            self.apps[app.app_id] = app
-            self._ready[app.app_id] = []
-        app.am_container = container
-        self._launch_am(app, launch_delay=launch_delay)
-
-    def application_finished(self, app: Application, result: Any) -> None:
-        self.scheduler.on_app_finished(app, result)
-        self.scheduler.remove_app(app.app_id)
-        self._ready.pop(app.app_id, None)
-        if app.finished is not None and not app.finished.triggered:
-            app.finished.succeed(result)
-        self.log.mark(self.env.now, "app_finished", app_id=app.app_id)
-        if not self.retain_finished_apps:
-            self.forget_application(app.app_id)
-
     def kill_application(self, app: Application, cause: Any = "killed") -> None:
         """Terminate an application: AM process interrupted, asks dropped."""
         if app.killed or (app.finished is not None and app.finished.triggered):
@@ -384,7 +362,6 @@ class ResourceManager:
 
     def _launch_am(self, app: Application, launch_delay: Optional[float] = None) -> None:
         nm = self.node_managers[app.am_container.node_id]
-        app.launch_time = self.env.now
         ctx = AMContext(self, app, app.am_container)
 
         def am_body() -> Generator:
@@ -395,7 +372,13 @@ class ResourceManager:
             except Exception as exc:
                 self._handle_am_failure(app, exc)
                 return None
-            self.application_finished(app, result)
+            self.scheduler.remove_app(app.app_id)
+            self._ready.pop(app.app_id, None)
+            if app.finished is not None and not app.finished.triggered:
+                app.finished.succeed(result)
+            self.log.mark(self.env.now, "app_finished", app_id=app.app_id)
+            if not self.retain_finished_apps:
+                self.forget_application(app.app_id)
             return result
 
         tracer = self.env.tracer
@@ -493,10 +476,3 @@ class AMContext:
     def recovered_maps(self) -> dict:
         """Completed-map history journaled by previous AM attempts."""
         return dict(self.app.recovery_maps)
-
-    def node(self, node_id: str):
-        return self.rm.topology.node(node_id)
-
-    @property
-    def local_node(self):
-        return self.rm.topology.node(self.node_id)

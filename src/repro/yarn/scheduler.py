@@ -77,15 +77,6 @@ class SchedulerBase:
     def on_container_released(self, container: Container) -> None:
         """Hook: a granted container's resources returned (queue accounting)."""
 
-    def on_app_finished(self, app, result=None) -> None:
-        """Hook: an application completed (schedulers learning job sizes).
-
-        ``result`` is the application's terminal value when the RM has one
-        (a :class:`~repro.mapreduce.spec.JobResult` for MapReduce apps) —
-        learning schedulers must inspect it (and ``app.killed``) so that
-        killed or AM-failed runs never pollute size estimates.
-        """
-
     # -- helpers ----------------------------------------------------------------
     def _grant(self, pending: PendingAsk, node: NodeState,
                memory_only: bool = False) -> Container:
@@ -96,16 +87,18 @@ class SchedulerBase:
             app_id=pending.app_id,
         )
         node.allocate(pending.request.resource, memory_only=memory_only)
-        tracer = self.rm.env.tracer
-        if tracer is not None:
-            tracer.metrics.incr("scheduler:grants")
-            tracer.metrics.observe("scheduler:grant_queue_delay_s",
-                                   self.rm.env.now - pending.enqueued_at)
-        telemetry = self.rm.env.telemetry
-        if telemetry is not None:
-            telemetry.grant_delay.observe(
-                self.rm.env.now - pending.enqueued_at)
+        self._count_grant(pending)
         return container
+
+    def _count_grant(self, pending: PendingAsk) -> None:
+        """Account one grant of ``pending`` to the tracer and telemetry."""
+        env = self.rm.env
+        if env.tracer is not None:
+            env.tracer.metrics.incr("scheduler:grants")
+            env.tracer.metrics.observe("scheduler:grant_queue_delay_s",
+                                       env.now - pending.enqueued_at)
+        if env.telemetry is not None:
+            env.telemetry.grant_delay.observe(env.now - pending.enqueued_at)
 
 
 class CapacityScheduler(SchedulerBase):

@@ -210,7 +210,6 @@ def test_output_bus_routes_to_current_store():
 def test_killed_application_raises_jobkilled_for_client():
     cluster = build_stock_cluster(a3_cluster(4))
     spec = wc_spec(cluster)
-    from repro.cluster import ResourceVector as RV
 
     client_proc = JobClient(cluster).submit(spec, MODE_DISTRIBUTED)
 

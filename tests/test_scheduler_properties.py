@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterNetwork, Node, ResourceVector
 from repro.config import INSTANCE_TYPES, ClusterSpec
 from repro.core.dplus import DPlusScheduler
+from repro.core.submit import job_outcome
+from repro.mapreduce.spec import JobResult, SimJobSpec
 from repro.simcluster import SimCluster
 from repro.simulation import Environment
+from repro.workloads import WORDCOUNT_PROFILE
 from repro.yarn import (
     Application,
     CapacityScheduler,
@@ -16,6 +19,7 @@ from repro.yarn import (
     HFSPScheduler,
     QueueConfig,
 )
+from repro.yarn.resourcemanager import JobKilled
 
 
 def mk_cluster(n_nodes, scheduler, instance="A3"):
@@ -227,6 +231,18 @@ def test_property_hfsp_am_order_permutation_invariant(perm):
     assert [a.app_id for a in sched.am_queue_order(shuffled)] == baseline
 
 
+def settled(name, duration, killed=False, failed=False, error=None):
+    """The :class:`JobOutcome` of one job whose AM started at t=0 and which
+    settled ``duration`` seconds later (``error``: its submission raised)."""
+    result = None
+    if error is None:
+        result = JobResult(f"app-{name}", name, "uber", submit_time=0.0,
+                           am_start_time=0.0, finish_time=duration,
+                           killed=killed, failed=failed)
+    spec = SimJobSpec(name, ("/in",), WORDCOUNT_PROFILE, signature=name)
+    return job_outcome(spec, "stock", 0.0, duration, result, error=error)
+
+
 @given(st.lists(st.floats(0.5, 120.0), min_size=1, max_size=8),
        st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
@@ -237,12 +253,7 @@ def test_property_hfsp_training_converges_to_mean(durations, training_samples):
                                           initial_guess_s=8.0))
     sched = cluster.scheduler
     for i, duration in enumerate(durations):
-        app = hfsp_app(cluster, f"app_{i + 1:04d}", "sig",
-                       submit_time=cluster.env.now)
-        app.launch_time = 0.0
-        cluster.env._now = duration  # service time == duration
-        sched.on_app_finished(app)
-        cluster.env._now = 0.0
+        sched.observe(settled("sig", duration))  # service time == duration
         seen = i + 1
         if seen < training_samples:
             assert not sched.is_trained("sig")
@@ -259,11 +270,7 @@ def test_hfsp_killed_app_does_not_train_signature():
     training_samples — graduating the signature on garbage."""
     cluster = mk_cluster(2, HFSPScheduler(training_samples=1))
     sched = cluster.scheduler
-    app = hfsp_app(cluster, "app_0001", "sig", submit_time=0.0)
-    app.launch_time = 0.0
-    app.killed = True
-    cluster.env._now = 3.0  # direct clock poke: pure accounting check
-    sched.on_app_finished(app)
+    sched.observe(settled("sig", 3.0, error=JobKilled("app_0001")))
     assert "sig" not in sched.sizes
     assert not sched.is_trained("sig")
     assert sched.estimated_size_s("sig") == sched.initial_guess_s
@@ -273,22 +280,12 @@ def test_hfsp_failed_result_does_not_train_signature():
     """Same rule via the result path: an AM that died with attempts
     exhausted reports failed=True and must leave the estimate alone; the
     next clean run still trains normally."""
-
-    class Outcome:
-        def __init__(self, killed=False, failed=False):
-            self.killed = killed
-            self.failed = failed
-
     cluster = mk_cluster(2, HFSPScheduler(training_samples=1))
     sched = cluster.scheduler
-    app = hfsp_app(cluster, "app_0001", "sig", submit_time=0.0)
-    app.launch_time = 0.0
-    cluster.env._now = 3.0
-    sched.on_app_finished(app, Outcome(failed=True))
-    sched.on_app_finished(app, Outcome(killed=True))
+    sched.observe(settled("sig", 3.0, failed=True))
+    sched.observe(settled("sig", 3.0, killed=True))
     assert "sig" not in sched.sizes
-    sched.on_app_finished(app, Outcome())
-    cluster.env._now = 0.0
+    sched.observe(settled("sig", 3.0))
     assert sched.is_trained("sig")
     assert sched.estimated_size_s("sig") == pytest.approx(3.0)
 

@@ -602,3 +602,29 @@ def test_node_gauges_follow_membership_and_liveness():
 def test_stale_factor_below_one_period_is_rejected():
     with pytest.raises(ValueError, match="heartbeat_stale_factor"):
         TelemetryConfig(heartbeat_stale_factor=0.5)
+
+
+def test_dplus_grants_reach_the_grant_delay_histogram(monkeypatch):
+    """Regression: the D+ scheduler's grant path accounted grants to the
+    tracer only, so ``scheduler_grant_delay`` stayed empty on an MRapid
+    cluster however many containers D+ handed out."""
+    from repro.core.dplus import DPlusScheduler
+    from repro.core.submit import build_mrapid_cluster
+    from repro.trace import STRATEGY_DPLUS, default_short_job_mix
+
+    grants = []
+    get_resource = DPlusScheduler._get_resource
+
+    def counting(self, *args):
+        container = get_resource(self, *args)
+        if container is not None:
+            grants.append(container)
+        return container
+
+    monkeypatch.setattr(DPlusScheduler, "_get_resource", counting)
+    cluster = build_mrapid_cluster(
+        a3_cluster(4), conf=HadoopConfig(telemetry=TelemetryConfig()))
+    trace = poisson_trace(default_short_job_mix(), 20.0, 60.0, seed=1)
+    replay_load(cluster, trace, STRATEGY_DPLUS)
+    assert grants
+    assert cluster.env.telemetry.grant_delay.count == len(grants)

@@ -248,12 +248,12 @@ def test_estimator_uses_successes_only():
     store = RunHistoryStore(None)
     picker = AutoModePicker(store, TunerConfig())
     assert ("sig", "uplus") not in picker.model
-    picker.observe("sig", "uplus", 50.0, outcome=OUTCOME_KILLED)
-    picker.observe("sig", "uplus", 70.0, outcome=OUTCOME_FAILED)
+    picker.observe_record(RunRecord("sig", "uplus", 50.0, outcome=OUTCOME_KILLED))
+    picker.observe_record(RunRecord("sig", "uplus", 70.0, outcome=OUTCOME_FAILED))
     assert picker.model.samples(("sig", "uplus")) == 0
     assert ("sig", "uplus") not in picker.model
     assert picker.best("sig") is None
-    picker.observe("sig", "uplus", 4.0)
+    picker.observe_record(RunRecord("sig", "uplus", 4.0))
     assert picker.model.samples(("sig", "uplus")) == 1
     assert picker.model.ewma(("sig", "uplus")) == 4.0
     assert picker.best("sig") == "uplus"
@@ -345,7 +345,7 @@ def test_picker_explores_each_candidate_then_commits():
         decision = picker.decide("sig", SAMPLE_INPUTS)
         assert decision.source == SOURCE_EXPLORE
         seen.append(decision.mode)
-        picker.observe("sig", decision.mode, elapsed[decision.mode])
+        picker.observe_record(RunRecord("sig", decision.mode, elapsed[decision.mode]))
     # One sweep over every candidate, cheapest-analytic-first.
     assert sorted(seen) == sorted(CANDIDATES)
     analytic = analytic_estimates(SAMPLE_INPUTS)
@@ -367,7 +367,7 @@ def test_picker_failed_runs_do_not_graduate_a_candidate():
     store = RunHistoryStore(None)
     picker = AutoModePicker(store, TunerConfig())
     first = picker.decide("sig", SAMPLE_INPUTS)
-    picker.observe("sig", first.mode, 5.0, outcome=OUTCOME_FAILED)
+    picker.observe_record(RunRecord("sig", first.mode, 5.0, outcome=OUTCOME_FAILED))
     second = picker.decide("sig", SAMPLE_INPUTS)
     assert second.source == SOURCE_EXPLORE
     assert second.mode == first.mode
@@ -378,7 +378,7 @@ def test_picker_signatures_learn_independently():
     store = RunHistoryStore(None)
     picker = AutoModePicker(store, TunerConfig())
     for mode in CANDIDATES:
-        picker.observe("hot", mode, 5.0 if mode == "uber" else 50.0)
+        picker.observe_record(RunRecord("hot", mode, 5.0 if mode == "uber" else 50.0))
     hot = picker.decide("hot", SAMPLE_INPUTS)
     cold = picker.decide("cold", SAMPLE_INPUTS)
     assert hot.source == SOURCE_LEARNED and hot.mode == "uber"
